@@ -9,7 +9,7 @@
 //!   (`-` for stdout);
 //! * `--gate BASELINE` — diffs this run against a committed baseline and
 //!   exits 1 if any benchmark's throughput dropped more than the
-//!   tolerance;
+//!   tolerance, or if a baseline benchmark is missing from the run;
 //! * `--tolerance PCT` — gate tolerance in percent (default 15);
 //! * `--quick` — 5 samples per benchmark (verify-time profile);
 //! * `--iters N` — explicit sample count (default 10, the full profile).
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
         print!("{}", report.table);
         if !report.passed() {
             eprintln!(
-                "corebench: throughput regression beyond {}%: {}",
+                "corebench: throughput regression beyond {}% or missing row: {}",
                 opts.tolerance,
                 report.regressions.join(", ")
             );

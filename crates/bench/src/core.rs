@@ -1,12 +1,12 @@
-//! Engine-throughput suite behind the `corebench` binary.
+//! Micro-benchmark suite behind the `corebench` binary.
 //!
-//! Where [`runner`](crate::runner) times whole experiments, this module
-//! times the *simulator substrate* — the DES hot path and the rh-memory
-//! digest machinery — and turns the timings into the headline numbers
-//! tracked in `BENCH_core.json` (see PERFORMANCE.md):
+//! Where the `perfbench` workspace times end-to-end workloads, this module
+//! times the *simulator substrate* — the DES hot path, the disk models and
+//! the rh-memory digest machinery — and turns the timings into the
+//! headline numbers tracked in `BENCH_core.json` (see PERFORMANCE.md):
 //!
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
-//!   through the default engine (binary-heap queue, slab slots);
+//!   through the engine (binary-heap queue, slab slots);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
 //! * `digest_early_out_ops_per_sec` — the epoch-stamp check that lets the
 //!   warm path skip the rehash entirely;
@@ -43,8 +43,9 @@ use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_sim::engine::{Scheduler, Simulation, World};
-use rh_sim::equeue::QueueKind;
 use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
+use rh_sim::queue::FifoResource;
+use rh_sim::resource::PsResource;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
 
@@ -59,6 +60,15 @@ const EARLY_OUT_CALLS: u64 = 1_000_000;
 /// Full digests per rehash sample (keeps each sample ≥ 1 ms so the
 /// best-of-N estimate is stable against scheduler jitter).
 const DIGEST_REPS: u64 = 8;
+/// Concurrent 1 GiB transfers in the disk-model ablation (the paper's 11
+/// guests saving or restoring at once).
+const DISK_STREAMS: u64 = 11;
+/// Full drains per disk-model sample (keeps each sample ≥ 1 ms).
+const DISK_REPS: u64 = 2_500;
+/// Bytes per disk-model transfer (one guest image).
+const GIB: f64 = (1u64 << 30) as f64;
+/// The paper testbed's disk bandwidth.
+const DISK_BYTES_PER_SEC: f64 = 85.0e6;
 /// Hosts in the `fleet/steady` workload (~22k VM arrivals over its
 /// horizon; event count measured by an untimed run).
 const FLEET_HOSTS: u32 = 300;
@@ -120,13 +130,10 @@ impl FlatWorld for FlatChain {
     }
 }
 
-fn chain(kind: QueueKind) -> u64 {
-    let mut sim = Simulation::with_queue(
-        Chain {
-            remaining: CHAIN_EVENTS,
-        },
-        kind,
-    );
+fn chain() -> u64 {
+    let mut sim = Simulation::new(Chain {
+        remaining: CHAIN_EVENTS,
+    });
     sim.scheduler_mut().schedule_in(SimDuration::ZERO, ());
     sim.run_until_idle();
     sim.scheduler().fired()
@@ -143,8 +150,8 @@ fn flat_chain() -> u64 {
 
 /// Schedule-then-cancel churn: every second event is cancelled, so the
 /// stale-entry skim and the slab free list both stay hot.
-fn churn(kind: QueueKind) -> u64 {
-    let mut sim = Simulation::with_queue(Chain { remaining: 0 }, kind);
+fn churn() -> u64 {
+    let mut sim = Simulation::new(Chain { remaining: 0 });
     let handles: Vec<_> = (0..CHURN_EVENTS)
         .map(|i| {
             sim.scheduler_mut()
@@ -156,6 +163,38 @@ fn churn(kind: QueueKind) -> u64 {
     }
     sim.run_until_idle();
     sim.scheduler().fired()
+}
+
+/// Drains [`DISK_STREAMS`] concurrent 1 GiB transfers through the
+/// processor-sharing disk (the paper-calibrated model, with its
+/// contention penalty); returns the makespan in microseconds.
+fn ps_streams() -> u64 {
+    let mut disk = PsResource::new(DISK_BYTES_PER_SEC).with_contention_penalty(0.0518);
+    let mut now = SimTime::ZERO;
+    for _ in 0..DISK_STREAMS {
+        disk.submit(now, GIB);
+    }
+    while let Some(next) = disk.next_completion(now) {
+        now = next;
+        disk.take_completed(now);
+    }
+    now.as_micros()
+}
+
+/// The FIFO ablation counterpart of [`ps_streams`]: one server, the same
+/// transfers served one after another.
+fn fifo_streams() -> u64 {
+    let mut disk = FifoResource::new(1);
+    let service = SimDuration::from_secs_f64(GIB / DISK_BYTES_PER_SEC);
+    for _ in 0..DISK_STREAMS {
+        disk.submit(SimTime::ZERO, service);
+    }
+    let mut last = SimTime::ZERO;
+    while let Some(next) = disk.next_completion() {
+        last = next;
+        disk.take_completed(next);
+    }
+    last.as_micros()
 }
 
 /// A digest workload shaped like a real guest: mostly pattern-filled
@@ -213,18 +252,18 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         });
     };
 
-    timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || {
-        chain(QueueKind::BinaryHeap)
-    });
-    timed("engine/chain/calendar", CHAIN_EVENTS, "events", &mut || {
-        chain(QueueKind::Calendar)
-    });
+    timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || chain());
     timed("flat/chain", CHAIN_EVENTS, "events", &mut || flat_chain());
-    timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || {
-        churn(QueueKind::BinaryHeap)
+    timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || churn());
+
+    // The disk-model ablation (EXPERIMENTS.md): processor sharing vs FIFO
+    // over the same 11 concurrent transfers.
+    let streams = DISK_STREAMS * DISK_REPS;
+    timed("disk/ps_11_streams", streams, "xfers", &mut || {
+        (0..DISK_REPS).map(|_| black_box(ps_streams())).sum()
     });
-    timed("engine/churn/calendar", CHURN_EVENTS, "events", &mut || {
-        churn(QueueKind::Calendar)
+    timed("disk/fifo_11_streams", streams, "xfers", &mut || {
+        (0..DISK_REPS).map(|_| black_box(fifo_streams())).sum()
     });
 
     let (p2m, contents) = digest_fixture();
@@ -406,17 +445,25 @@ fn number_after(s: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
+/// The names of every bench row in a corebench JSON document, in order.
+fn bench_names(json: &str) -> impl Iterator<Item = &str> {
+    json.split("\"name\":\"")
+        .skip(1)
+        .filter_map(|tail| tail.split('"').next())
+}
+
 /// The verdict of one gate comparison.
 #[derive(Debug, Clone)]
 pub struct GateReport {
     /// The rendered delta table (one line per compared benchmark).
     pub table: String,
-    /// Benchmarks whose throughput dropped more than the tolerance.
+    /// Benchmarks whose throughput dropped more than the tolerance, and
+    /// baseline benchmarks the current run no longer produces.
     pub regressions: Vec<String>,
 }
 
 impl GateReport {
-    /// True when no benchmark regressed past the tolerance.
+    /// True when no benchmark regressed past the tolerance or vanished.
     pub fn passed(&self) -> bool {
         self.regressions.is_empty()
     }
@@ -429,7 +476,9 @@ impl GateReport {
 /// kernel version and is tracked as context only. Benchmarks absent from
 /// the baseline are reported as `new` and never fail the gate, so adding
 /// a benchmark does not require regenerating the baseline in the same
-/// commit.
+/// commit. Baseline benchmarks the current run does not produce are
+/// reported as `missing` and fail the gate, so renaming or dropping a row
+/// cannot slip past it.
 pub fn gate_against(
     current: &[CoreBenchResult],
     baseline_json: &str,
@@ -462,6 +511,16 @@ pub fn gate_against(
                     r.name, "-", cur, "-"
                 ));
             }
+        }
+    }
+    for name in bench_names(baseline_json) {
+        if current.iter().all(|r| r.name != name) {
+            let base = bench_per_sec(baseline_json, name).unwrap_or(0.0);
+            table.push_str(&format!(
+                "{:<24}  {:>14.0}  {:>14}  {:>8}  missing\n",
+                name, base, "-", "-"
+            ));
+            regressions.push(name.to_string());
         }
     }
     GateReport { table, regressions }
@@ -549,14 +608,27 @@ mod tests {
     }
 
     #[test]
+    fn vanished_benchmarks_fail_the_gate() {
+        let baseline = to_json(&tiny_results(), "full", 2);
+        let mut dropped = tiny_results();
+        dropped.retain(|r| r.name != "digest/full_rehash");
+        let report = gate_against(&dropped, &baseline, 15.0);
+        assert!(!report.passed(), "{}", report.table);
+        assert_eq!(report.regressions, vec!["digest/full_rehash".to_string()]);
+        assert!(report.table.contains("missing"), "{}", report.table);
+    }
+
+    #[test]
     fn suite_runs_at_minimum_size() {
         // Smoke: one sample of every workload completes and fires the
         // advertised number of operations.
         let results = run_suite(1);
         let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"engine/chain/heap"));
-        assert!(names.contains(&"engine/chain/calendar"));
+        assert!(names.contains(&"engine/churn/heap"));
         assert!(names.contains(&"flat/chain"));
+        assert!(names.contains(&"disk/ps_11_streams"));
+        assert!(names.contains(&"disk/fifo_11_streams"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
         for r in &results {

@@ -19,7 +19,7 @@ use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::{HostConfig, RebootStrategy};
 use rh_vmm::domain::{DomainId, DomainSpec};
 use rh_vmm::harness::HostSim;
-use rh_vmm::metrics::PhaseSpan;
+use rh_vmm::PhaseSpan;
 
 /// Web corpus for the 1 GiB VM: 1 200 × 512 KB (fits the page cache).
 pub fn fig7_corpus() -> FileSet {

@@ -12,7 +12,7 @@
 //!   image, hardware reset, restore-from-disk.
 //!
 //! Every timing result in the paper's §5 is produced by driving this world:
-//! downtime meters record service outages, [`RebootMetrics`] records the
+//! downtime meters record service outages, a [`Timeline`] records the
 //! Fig. 7 phase breakdown, the httperf client records the throughput
 //! traces, and memory digests verify (not assume!) image preservation.
 
@@ -26,7 +26,7 @@ use rh_memory::contents::FrameContents;
 use rh_memory::frame::frames_for_bytes;
 use rh_net::downtime::{DowntimeMeter, ProbeLog};
 use rh_net::httperf::HttperfClient;
-use rh_obs::{Event, EventLog, Metrics, Phase, RecoveryKind};
+use rh_obs::{Event, EventLog, Metrics, Phase, RecoveryKind, Timeline};
 use rh_sim::engine::{Scheduler, World};
 use rh_sim::histogram::LatencyHistogram;
 use rh_sim::resource::{JobId, PsResource, Retick};
@@ -39,7 +39,6 @@ use rh_storage::partition::{PartitionId, PartitionTable};
 use crate::config::{HostConfig, RebootStrategy, SuspendOrder};
 use crate::domain::{Domain, DomainId, ExecState};
 use crate::fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
-use crate::metrics::RebootMetrics;
 use crate::timing::TimingParams;
 use crate::vmm::{Vmm, VmmError};
 
@@ -300,7 +299,7 @@ pub struct Host {
     file_reads: BTreeMap<DomainId, (SimTime, u64, SimDuration)>,
     file_read_results: Vec<FileReadResult>,
     /// Phase timeline of the most recent reboot (Fig. 7 data).
-    pub metrics: RebootMetrics,
+    pub metrics: Timeline,
     /// Typed structured event trace.
     pub trace: EventLog,
     /// Counters and timers accumulated across the host's whole life
@@ -395,7 +394,7 @@ impl Host {
             next_req: 0,
             file_reads: BTreeMap::new(),
             file_read_results: Vec::new(),
-            metrics: RebootMetrics::new(),
+            metrics: Timeline::new(),
             trace,
             stats: Metrics::new(),
             reports: Vec::new(),

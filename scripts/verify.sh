@@ -17,6 +17,13 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --workspace (offline)"
 cargo test -q --workspace --offline
 
+# perfbench/ is its own Cargo workspace (BENCHMARK.json), so the steps
+# above never compile it; build and test it here so a removed public API
+# it depends on fails the gate instead of the benchmark.
+echo "==> perfbench build + test (separate workspace, offline)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --workspace --no-deps (offline, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
