@@ -1,10 +1,11 @@
 //! End-to-end coverage for the figure pipelines that previously had no
 //! integration tests: Fig. 8 (throughput before/after reboot), Fig. 9
 //! (cluster throughput under rolling rejuvenation), §5.2 (quick reload
-//! vs hardware reset) and §5.3 (availability). Each test drives the full
-//! `run()` pipeline on a reduced range and pins the paper's headline
-//! numbers, then re-runs it to confirm the pipeline is deterministic
-//! end to end (byte-identical rendered report).
+//! vs hardware reset), §5.3 (availability) and the `fleetbench --quick`
+//! datacenter table. Each test drives the full `run()` pipeline on a
+//! reduced range and pins the paper's headline numbers, then re-runs it
+//! to confirm the pipeline is deterministic end to end (byte-identical
+//! rendered report).
 
 use rh_vmm::config::RebootStrategy;
 
@@ -120,3 +121,23 @@ fn sec53_availability_gives_warm_four_nines() {
     assert!(r.comparison.cold > r.comparison.saved);
     assert!(rh_bench::sec53::render(&r).contains("four 9s"));
 }
+
+#[test]
+fn fleetbench_quick_table_is_golden() {
+    // The `fleetbench --quick` table, verbatim: four 200-host campaigns on
+    // a 6,000 s horizon. Events, capacity dips, pair losses and finish
+    // times all come from one seeded run per cell, so any change to event
+    // dispatch, placement or SLA accounting in rh-fleet shows up here.
+    let text = rh_bench::fleet::render(&rh_bench::fleet::sweep(true, 1)).to_string();
+    assert_eq!(text, FLEETBENCH_QUICK);
+}
+
+const FLEETBENCH_QUICK: &str = "\
+## fleet: SLA-aware rolling campaigns at datacenter scale
+hosts      placement           campaign  events  peak   min%    viol  pairs  migr  finish
+-----------------------------------------------------------------------------------------
+  200      first-fit      in-place-cold   12161  1175  94.03   902.1     75     0  5417.6
+  200      first-fit  in-place-streamed   12145  1175  94.17  1103.4     77     0       -
+  200  anti-affinity      in-place-cold   12161  1175  97.83     0.0      0     0  5292.2
+  200  anti-affinity  in-place-streamed   12161  1175  97.65     0.0      0     0  5904.0
+";

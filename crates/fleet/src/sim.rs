@@ -751,6 +751,13 @@ mod tests {
         let r = FleetSimulation::new(cfg).unwrap().run();
         assert!(r.crashes > 0, "crashes {}", r.crashes);
         assert_eq!(r.metrics.counter("fleet.crashes"), r.crashes);
+        // Every fleet counter in the registry agrees with its report field.
+        let m = &r.metrics;
+        assert_eq!(m.counter("fleet.arrivals"), r.arrivals);
+        assert_eq!(m.counter("fleet.rejected"), r.rejected);
+        assert_eq!(m.counter("fleet.departures"), r.departures);
+        assert_eq!(m.counter("fleet.migrations"), r.migrations);
+        assert_eq!(m.counter("fleet.pair_losses"), r.pair_losses);
         assert!(r.min_capacity < 1.0);
         // One crashed host out of 20 is ~5 % of VMs — below the 97 % floor.
         assert!(r.sla_violation > SimDuration::ZERO);
