@@ -43,7 +43,6 @@ use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
 use rh_memory::p2m::P2mTable;
 use rh_sim::engine::{Scheduler, Simulation, World};
-use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
 use rh_sim::queue::FifoResource;
 use rh_sim::resource::PsResource;
 use rh_sim::time::{SimDuration, SimTime};
@@ -116,31 +115,8 @@ impl World for Chain {
     }
 }
 
-struct FlatChain {
-    remaining: u64,
-}
-
-impl FlatWorld for FlatChain {
-    type Event = ();
-    fn handle(&mut self, sched: &mut FlatScheduler<()>, _ev: ()) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            sched.schedule_in(SimDuration::from_micros(1), ());
-        }
-    }
-}
-
 fn chain() -> u64 {
     let mut sim = Simulation::new(Chain {
-        remaining: CHAIN_EVENTS,
-    });
-    sim.scheduler_mut().schedule_in(SimDuration::ZERO, ());
-    sim.run_until_idle();
-    sim.scheduler().fired()
-}
-
-fn flat_chain() -> u64 {
-    let mut sim = FlatSimulation::new(FlatChain {
         remaining: CHAIN_EVENTS,
     });
     sim.scheduler_mut().schedule_in(SimDuration::ZERO, ());
@@ -253,7 +229,6 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
     };
 
     timed("engine/chain/heap", CHAIN_EVENTS, "events", &mut || chain());
-    timed("flat/chain", CHAIN_EVENTS, "events", &mut || flat_chain());
     timed("engine/churn/heap", CHURN_EVENTS, "events", &mut || churn());
 
     // The disk-model ablation (EXPERIMENTS.md): processor sharing vs FIFO
@@ -289,7 +264,7 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
     // A steady-state fleet workload (arrivals, placements, departures,
     // aging crashes across FLEET_HOSTS cells) — the rh-fleet layer's
-    // cost on top of the flat core. One untimed run counts the events.
+    // cost on top of the engine. One untimed run counts the events.
     let fleet_events = fleet_steady();
     timed("fleet/steady", fleet_events, "events", &mut || {
         fleet_steady()
@@ -626,7 +601,6 @@ mod tests {
         let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"engine/chain/heap"));
         assert!(names.contains(&"engine/churn/heap"));
-        assert!(names.contains(&"flat/chain"));
         assert!(names.contains(&"disk/ps_11_streams"));
         assert!(names.contains(&"disk/fifo_11_streams"));
         assert!(names.contains(&"digest/full_rehash"));

@@ -247,7 +247,7 @@ impl CellSimulation {
         self.next_vm += 1;
         if self.active.len() + self.waiting.len() >= self.cfg.admission_cap() {
             self.report.rejected += 1;
-            log.emit(at, Event::note("cell", format!("vm{id} rejected at cap")));
+            note(log, at, || format!("vm{id} rejected at cap"));
             return Ok(());
         }
         if self.try_provision(at, id, at, lifetime, log)? {
@@ -255,7 +255,7 @@ impl CellSimulation {
         }
         self.report.queued += 1;
         self.waiting.push_back((id, at, lifetime));
-        log.emit(at, Event::note("cell", format!("vm{id} queued for frames")));
+        note(log, at, || format!("vm{id} queued for frames"));
         Ok(())
     }
 
@@ -270,12 +270,12 @@ impl CellSimulation {
         if parkable {
             vm.ctl.freeze();
             self.parked.push_back(vm);
-            log.emit(at, Event::note("cell", format!("vm{id} parked warm")));
+            note(log, at, || format!("vm{id} parked warm"));
         } else {
             self.ram
                 .release(&vm.p2m.machine_ranges())
                 .map_err(|e| format!("cell: release on depart: {e}"))?;
-            log.emit(at, Event::note("cell", format!("vm{id} departed")));
+            note(log, at, || format!("vm{id} departed"));
         }
         // Frames (or a pool slot) freed — retry the queue head-of-line.
         while let Some(&(wid, arrived, life)) = self.waiting.front() {
@@ -315,19 +315,13 @@ impl CellSimulation {
         self.seq += 1;
         self.departures
             .push(Reverse((started + lifetime, self.seq, id)));
-        log.emit(
-            started,
-            Event::note(
-                "cell",
-                format!(
-                    "vm{id} {} start latency={latency}",
-                    match kind {
-                        BootKind::Warm => "warm",
-                        BootKind::Cold => "cold",
-                    }
-                ),
-            ),
-        );
+        note(log, started, || {
+            let kind = match kind {
+                BootKind::Warm => "warm",
+                BootKind::Cold => "cold",
+            };
+            format!("vm{id} {kind} start latency={latency}")
+        });
         Ok(true)
     }
 
@@ -368,10 +362,7 @@ impl CellSimulation {
                 .map_err(|e| format!("cell: evict release: {e}"))?;
             self.report.evicted += 1;
             us += EVICT_US;
-            log.emit(
-                at,
-                Event::note("cell", format!("evicted parked image for vm{id}")),
-            );
+            note(log, at, || format!("evicted parked image for vm{id}"));
         }
         if self.ram.free_frames() < self.cfg.vm_pages
             && self.cfg.strategy == ProvisionStrategy::BalloonReclaim
@@ -392,10 +383,7 @@ impl CellSimulation {
             if took > 0 {
                 self.report.reclaimed_pages += took;
                 us += RECLAIM_BASE_US + took * RECLAIM_US_PER_PAGE;
-                log.emit(
-                    at,
-                    Event::note("cell", format!("reclaimed {took} pages for vm{id}")),
-                );
+                note(log, at, || format!("reclaimed {took} pages for vm{id}"));
             }
         }
         if self.ram.free_frames() < self.cfg.vm_pages {
@@ -413,6 +401,14 @@ impl CellSimulation {
             ctl: BalloonController::new(self.cfg.min_resident),
         };
         Ok(Some((vm, SimDuration::from_micros(us), BootKind::Cold)))
+    }
+}
+
+/// Emits a `cell` note, building its text only when `log` keeps events,
+/// so a disabled log costs no formatting.
+fn note(log: &mut EventLog, at: SimTime, text: impl FnOnce() -> String) {
+    if log.is_enabled() {
+        log.emit(at, Event::note("cell", text()));
     }
 }
 
@@ -475,6 +471,23 @@ mod tests {
         let (r2, l2) = go();
         assert_eq!(r1, r2);
         assert_eq!(l1, l2);
+    }
+
+    #[test]
+    fn disabled_log_does_not_change_the_report() {
+        for cfg in [
+            CellConfig::burst(ProvisionStrategy::BalloonReclaim, 1.5),
+            CellConfig::steady(ProvisionStrategy::BalloonReclaim, 1.5),
+        ] {
+            let quiet = CellSimulation::new(cfg.clone()).unwrap().run().unwrap();
+            let mut log = EventLog::new();
+            let logged = CellSimulation::new(cfg)
+                .unwrap()
+                .run_with_log(&mut log)
+                .unwrap();
+            assert_eq!(quiet, logged);
+            assert!(!log.is_empty());
+        }
     }
 
     #[test]

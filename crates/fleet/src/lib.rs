@@ -8,7 +8,7 @@
 //! is a coarse [`host::HostCell`] whose reboot and recovery durations come
 //! from the calibrated [`rh_rejuv::model`] closed forms, so a 5,000-host
 //! run with a million VM lifecycle events finishes in seconds on the
-//! [`rh_sim::flat`] event core.
+//! [`rh_sim::engine`] event queue.
 //!
 //! The moving parts (DESIGN.md §16):
 //!
@@ -24,7 +24,8 @@
 //!   [`rh_cluster::driver::CampaignDriver`] the simulation and the
 //!   `rh-lint fleet` model checker share;
 //! * [`sim::FleetSimulation`] — the event loop tying them together, with
-//!   SLA-violation accounting and `rh-obs` metrics throughout.
+//!   SLA-violation accounting in typed counters that become an `rh-obs`
+//!   metrics registry when the run reports.
 //!
 //! `fleetbench` (in `rh-bench`) sweeps placement × reboot strategy ×
 //! fleet size over this crate deterministically across worker counts.

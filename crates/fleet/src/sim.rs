@@ -1,4 +1,5 @@
-//! The fleet simulation: thousands of [`HostCell`]s on the flat event core.
+//! The fleet simulation: thousands of [`HostCell`]s on the
+//! [`rh_sim::engine`] event queue.
 //!
 //! One [`FleetWorld`] drives the whole datacenter: VM arrivals flow from a
 //! [`WorkloadReader`] through the active [`PlacementAlgorithm`] into the
@@ -15,14 +16,21 @@
 //! latency is modeled as one microsecond per host probed — a determinism-
 //! safe stand-in for a central store's lookup cost.
 //!
-//! The flat scheduler has no cancellation, so every host timer carries the
+//! Host timers are never cancelled. Each one carries the
 //! [`HostCell::epoch`] it was scheduled under and ignores itself if the
-//! host has since moved on.
+//! host has since moved on. A stale timer still fires and counts in
+//! [`FleetReport::events`], so cancelling it instead would change every
+//! report.
+//!
+//! Each counter lives in exactly one typed field of the world, updated
+//! on the hot path; [`FleetReport::metrics`] is built from those fields
+//! once, when the run ends.
 
 use rh_cluster::driver::{CampaignDriver, FleetView, HostPhase};
 use rh_cluster::migration::MigrationModel;
 use rh_obs::metrics::Metrics;
-use rh_sim::flat::{FlatScheduler, FlatSimulation, FlatWorld};
+use rh_sim::engine::{Scheduler, Simulation, World};
+use rh_sim::histogram::LatencyHistogram;
 use rh_sim::rng::SimRng;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
@@ -34,7 +42,8 @@ use crate::placement::{PlacementAlgorithm, PlacementQuery};
 use crate::store::{PlacementStore, VmState};
 use crate::workload::{SyntheticWorkload, VmArrival, WorkloadReader};
 
-/// The fleet's event vocabulary (small and `Copy`, per the flat core).
+/// The fleet's event vocabulary: small `Copy` values naming a VM or a
+/// host, with the host epoch a timer was armed under.
 #[derive(Debug, Clone, Copy)]
 pub enum FleetEvent {
     /// The staged workload arrival is due.
@@ -78,7 +87,7 @@ pub enum FleetEvent {
     CampaignStart,
 }
 
-/// The datacenter state driven by the flat scheduler.
+/// The datacenter state driven by the engine's [`Scheduler`].
 pub struct FleetWorld {
     cfg: FleetConfig,
     horizon_end: SimTime,
@@ -96,7 +105,6 @@ pub struct FleetWorld {
     strategy_table: DowntimeTable,
     recovery_table: Option<DowntimeTable>,
     migration: MigrationModel,
-    metrics: Metrics,
     // Capacity / SLA accounting.
     down_vms: i64,
     last_touch: SimTime,
@@ -108,7 +116,7 @@ pub struct FleetWorld {
     campaign_finished: Option<SimTime>,
     cursor: u32,
     completed_count: u32,
-    // Counters mirrored into metrics.
+    // Counters and timers; `into_report` names them in the registry.
     arrivals: u64,
     placed: u64,
     rejected: u64,
@@ -116,6 +124,11 @@ pub struct FleetWorld {
     crashes: u64,
     migrations: u64,
     pair_losses: u64,
+    reboots: u64,
+    placement_latency: LatencyHistogram,
+    reboot_downtime: LatencyHistogram,
+    migration_total: LatencyHistogram,
+    recovery_time: LatencyHistogram,
 }
 
 impl std::fmt::Debug for FleetWorld {
@@ -175,28 +188,29 @@ impl FleetWorld {
         )
     }
 
+    /// Asks the placement algorithm for a host, recording the modeled
+    /// lookup latency.
+    fn choose(&mut self, peer_host: Option<u32>) -> Option<u32> {
+        let q = PlacementQuery {
+            used: self.store.used(),
+            capacity: self.store.capacity(),
+            phases: &self.phases,
+            completed: &self.completed,
+            cursor: self.cursor,
+            window: self.window(),
+            peer_host,
+            pair_spacing: self.pair_spacing(),
+        };
+        let decision = self.placement.choose(&q);
+        self.placement_latency
+            .record(SimDuration::from_micros(u64::from(decision.scanned)));
+        decision.host
+    }
+
     /// Places one VM, returning `(vm, host)` on success.
     fn place_one(&mut self, peer_host: Option<u32>) -> Option<(u32, u32)> {
         self.arrivals += 1;
-        self.metrics.inc("fleet.arrivals");
-        let decision = {
-            let q = PlacementQuery {
-                used: self.store.used(),
-                capacity: self.store.capacity(),
-                phases: &self.phases,
-                completed: &self.completed,
-                cursor: self.cursor,
-                window: self.window(),
-                peer_host,
-                pair_spacing: self.pair_spacing(),
-            };
-            self.placement.choose(&q)
-        };
-        self.metrics.record(
-            "placement.latency",
-            SimDuration::from_micros(u64::from(decision.scanned)),
-        );
-        match decision.host {
+        match self.choose(peer_host) {
             Some(h) => {
                 let vm = self.store.insert(h);
                 self.placed += 1;
@@ -204,7 +218,6 @@ impl FleetWorld {
             }
             None => {
                 self.rejected += 1;
-                self.metrics.inc("fleet.rejected");
                 None
             }
         }
@@ -230,11 +243,10 @@ impl FleetWorld {
             losses += u64::from(both_down);
         }
         self.pair_losses += losses;
-        self.metrics.add("fleet.pair_losses", losses);
     }
 
     /// Arms the next aging crash for `host` under its current epoch.
-    fn arm_crash(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn arm_crash(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         let Some(aging) = self.cfg.aging else { return };
         let dt = self.crash_rng.exponential(aging.mtbf.as_secs_f64());
         let at = sched.now() + SimDuration::from_secs_f64(dt);
@@ -245,7 +257,7 @@ impl FleetWorld {
     }
 
     /// Suspends `host`'s resident VMs and starts its campaign reboot.
-    fn begin_reboot(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn begin_reboot(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         self.count_pair_losses(host);
         let n = self.store.resident(host);
         self.down_vms += i64::from(n);
@@ -254,20 +266,14 @@ impl FleetWorld {
         cell.epoch += 1;
         let epoch = cell.epoch;
         self.phases[host as usize] = HostPhase::Rebooting;
-        let strategy = self
-            .cfg
-            .campaign
-            // lint:allow(unwrap-panic): only reached via poll_campaign, gated on campaign_active which requires cfg.campaign
-            .expect("campaign reboot without a campaign config")
-            .strategy;
         let dt = self.strategy_table.get(n);
-        self.metrics.add(&format!("fleet.reboots.{strategy}"), 1);
-        self.metrics.record("fleet.reboot_downtime", dt);
+        self.reboots += 1;
+        self.reboot_downtime.record(dt);
         sched.schedule_in(dt, FleetEvent::RebootDone { host, epoch });
     }
 
     /// Starts draining `host` via live migration ahead of its reboot.
-    fn begin_evac(&mut self, sched: &mut FlatScheduler<FleetEvent>, host: u32) {
+    fn begin_evac(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
         {
             let cell = &mut self.cells[host as usize];
             debug_assert_eq!(cell.stage, CellStage::Serving);
@@ -286,31 +292,14 @@ impl FleetWorld {
                 .store
                 .peer(vm)
                 .and_then(|p| self.store.resident_host(p));
-            let decision = {
-                let q = PlacementQuery {
-                    used: self.store.used(),
-                    capacity: self.store.capacity(),
-                    phases: &self.phases,
-                    completed: &self.completed,
-                    cursor: self.cursor,
-                    window: self.window(),
-                    peer_host,
-                    pair_spacing: self.pair_spacing(),
-                };
-                self.placement.choose(&q)
-            };
-            self.metrics.record(
-                "placement.latency",
-                SimDuration::from_micros(u64::from(decision.scanned)),
-            );
             // An unplaceable VM stays and rides the in-place reboot.
-            let Some(target) = decision.host else {
+            let Some(target) = self.choose(peer_host) else {
                 continue;
             };
             let est = self.migration.migrate_vm(self.cfg.vm_mem_bytes);
             cum = cum + est.total; // one migration stream, serialized
             self.store.begin_migration(vm, target);
-            self.metrics.record("fleet.migration_total", est.total);
+            self.migration_total.record(est.total);
             pending += 1;
             sched.schedule_at(
                 sched.now() + cum,
@@ -328,7 +317,7 @@ impl FleetWorld {
     }
 
     /// Polls the wave driver and starts every host it offers.
-    fn poll_campaign(&mut self, sched: &mut FlatScheduler<FleetEvent>) {
+    fn poll_campaign(&mut self, sched: &mut Scheduler<FleetEvent>) {
         let Some(c) = self.cfg.campaign else { return };
         if !self.campaign_active || self.campaign_done {
             return;
@@ -361,16 +350,41 @@ impl FleetWorld {
         self.phases[host as usize] = HostPhase::Serving;
     }
 
-    /// Final accounting, consumed by [`FleetSimulation::run`].
-    fn into_report(mut self, events: u64) -> FleetReport {
-        self.metrics
-            .set_gauge("fleet.hosts", i64::from(self.cfg.hosts));
-        self.metrics
-            .set_gauge("fleet.vms", i64::from(self.store.live()));
-        self.metrics
-            .set_gauge("campaign.completed", i64::from(self.completed_count));
-        self.metrics
-            .add("fleet.sla_violation_us", self.violation.as_micros());
+    /// Final accounting, consumed by [`FleetSimulation::run`]. The
+    /// registry holds only what the run touched: a counter appears once
+    /// it has counted something (pair losses once any host went down),
+    /// a timer once it has a sample.
+    fn into_report(self, events: u64) -> FleetReport {
+        let mut metrics = Metrics::new();
+        let counters = [
+            ("fleet.arrivals", self.arrivals),
+            ("fleet.rejected", self.rejected),
+            ("fleet.departures", self.departures),
+            ("fleet.crashes", self.crashes),
+            ("fleet.migrations", self.migrations),
+        ];
+        for (name, n) in counters.into_iter().filter(|&(_, n)| n > 0) {
+            metrics.add(name, n);
+        }
+        if self.reboots + self.crashes > 0 {
+            metrics.add("fleet.pair_losses", self.pair_losses);
+        }
+        if let Some(c) = self.cfg.campaign.filter(|_| self.reboots > 0) {
+            metrics.add(&format!("fleet.reboots.{}", c.strategy), self.reboots);
+        }
+        metrics.add("fleet.sla_violation_us", self.violation.as_micros());
+        metrics.set_gauge("fleet.hosts", i64::from(self.cfg.hosts));
+        metrics.set_gauge("fleet.vms", i64::from(self.store.live()));
+        metrics.set_gauge("campaign.completed", i64::from(self.completed_count));
+        let timers = [
+            ("placement.latency", self.placement_latency),
+            ("fleet.reboot_downtime", self.reboot_downtime),
+            ("fleet.migration_total", self.migration_total),
+            ("fleet.recovery_time", self.recovery_time),
+        ];
+        for (name, h) in timers.into_iter().filter(|(_, h)| !h.is_empty()) {
+            metrics.set_timer(name, h);
+        }
         FleetReport {
             hosts: self.cfg.hosts,
             events,
@@ -387,15 +401,15 @@ impl FleetWorld {
             sla_violation: self.violation,
             campaign_finished: self.campaign_finished,
             completed_hosts: self.completed_count,
-            metrics: self.metrics,
+            metrics,
         }
     }
 }
 
-impl FlatWorld for FleetWorld {
+impl World for FleetWorld {
     type Event = FleetEvent;
 
-    fn handle(&mut self, sched: &mut FlatScheduler<FleetEvent>, event: FleetEvent) {
+    fn handle(&mut self, sched: &mut Scheduler<FleetEvent>, event: FleetEvent) {
         let now = sched.now();
         self.touch(now);
         match event {
@@ -430,7 +444,6 @@ impl FlatWorld for FleetWorld {
                 }
                 self.store.remove(vm);
                 self.departures += 1;
-                self.metrics.inc("fleet.departures");
             }
             FleetEvent::Crash { host, epoch } => {
                 let cell = self.cells[host as usize];
@@ -446,7 +459,6 @@ impl FlatWorld for FleetWorld {
                 let epoch = cell.epoch;
                 self.phases[host as usize] = HostPhase::Recovering;
                 self.crashes += 1;
-                self.metrics.inc("fleet.crashes");
                 // lint:allow(unwrap-panic): arm_crash only fires when cfg.aging is Some
                 let aging = self.cfg.aging.expect("crash without an aging config");
                 let table = self
@@ -455,7 +467,7 @@ impl FlatWorld for FleetWorld {
                     // lint:allow(unwrap-panic): with_workload builds recovery_table whenever aging is Some
                     .expect("crash without a recovery table");
                 let dt = aging.recovery.watchdog + table.get(n);
-                self.metrics.record("fleet.recovery_time", dt);
+                self.recovery_time.record(dt);
                 sched.schedule_in(dt, FleetEvent::RecoverDone { host, epoch });
             }
             FleetEvent::RecoverDone { host, epoch } => {
@@ -476,8 +488,6 @@ impl FlatWorld for FleetWorld {
                 if !self.completed[host as usize] {
                     self.completed[host as usize] = true;
                     self.completed_count += 1;
-                    self.metrics
-                        .set_gauge("campaign.completed", i64::from(self.completed_count));
                 }
                 self.arm_crash(sched, host);
                 self.poll_campaign(sched);
@@ -492,7 +502,6 @@ impl FlatWorld for FleetWorld {
                 if let VmState::Migrating { to, .. } = self.store.state(vm) {
                     self.store.finish_migration(vm);
                     self.migrations += 1;
-                    self.metrics.inc("fleet.migrations");
                     if self.is_down(to) {
                         // The target went down while the VM was in flight:
                         // it lands suspended and rejoins at the target's
@@ -556,7 +565,7 @@ pub struct FleetReport {
 /// consume with [`run`](FleetSimulation::run).
 #[derive(Debug)]
 pub struct FleetSimulation {
-    inner: FlatSimulation<FleetWorld>,
+    inner: Simulation<FleetWorld>,
 }
 
 impl FleetSimulation {
@@ -614,7 +623,6 @@ impl FleetSimulation {
             strategy_table,
             recovery_table,
             migration: MigrationModel::paper(),
-            metrics: Metrics::new(),
             down_vms: 0,
             last_touch: SimTime::ZERO,
             violation: SimDuration::ZERO,
@@ -631,9 +639,14 @@ impl FleetSimulation {
             crashes: 0,
             migrations: 0,
             pair_losses: 0,
+            reboots: 0,
+            placement_latency: LatencyHistogram::new(),
+            reboot_downtime: LatencyHistogram::new(),
+            migration_total: LatencyHistogram::new(),
+            recovery_time: LatencyHistogram::new(),
             cfg,
         };
-        let mut sim = FlatSimulation::new(world);
+        let mut sim = Simulation::new(world);
         let mut seeds: Vec<(SimTime, FleetEvent)> = Vec::new();
         {
             let w = sim.world_mut();

@@ -85,6 +85,13 @@ impl Metrics {
         self.timers.entry(name.to_string()).or_default().record(d);
     }
 
+    /// Installs a finished histogram as a timer, replacing any samples
+    /// already recorded under `name` (for callers that time into a typed
+    /// field and name it only when they report).
+    pub fn set_timer(&mut self, name: &str, histogram: LatencyHistogram) {
+        self.timers.insert(name.to_string(), histogram);
+    }
+
     /// The histogram behind a timer, if any samples were recorded.
     pub fn timer(&self, name: &str) -> Option<&LatencyHistogram> {
         self.timers.get(name)
@@ -204,6 +211,19 @@ mod tests {
         let h = m.timer("mttr").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean(), Some(ms(200)));
+    }
+
+    #[test]
+    fn set_timer_equals_recording_each_sample() {
+        let mut recorded = Metrics::new();
+        let mut h = LatencyHistogram::new();
+        for v in [3, 1, 4] {
+            recorded.record("t", ms(v));
+            h.record(ms(v));
+        }
+        let mut installed = Metrics::new();
+        installed.set_timer("t", h);
+        assert_eq!(installed, recorded);
     }
 
     #[test]

@@ -285,11 +285,9 @@ impl<W: World> Simulation<W> {
 
     /// Runs until no events remain, then returns the final time.
     ///
-    /// # Panics
-    ///
-    /// Panics after `u64::MAX` steps (practically unreachable) to guard
-    /// against pathological infinite self-scheduling loops in debug use; use
-    /// [`run_until`](Self::run_until) to bound runs explicitly.
+    /// A world that keeps scheduling follow-ups never goes idle, so this
+    /// never returns for it; use [`run_until`](Self::run_until) to bound
+    /// such runs explicitly.
     pub fn run_until_idle(&mut self) -> SimTime {
         while self.step() {}
         self.now()
@@ -496,6 +494,14 @@ mod tests {
         sim.run_until_idle();
         sim.scheduler_mut()
             .schedule_at(SimTime::from_secs(1), Ev::Mark(1));
+    }
+
+    #[test]
+    fn into_world_returns_state() {
+        let mut sim = Simulation::new(Recorder::default());
+        sim.scheduler_mut().schedule_at(SimTime::ZERO, Ev::Mark(7));
+        sim.run_until_idle();
+        assert_eq!(sim.into_world().seen, vec![(SimTime::ZERO, Ev::Mark(7))]);
     }
 
     #[test]

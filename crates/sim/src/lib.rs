@@ -12,8 +12,6 @@
 //! * [`time`] — integer-microsecond instants and durations,
 //! * [`engine`] — the event queue, the [`engine::World`] trait and
 //!   the [`engine::Simulation`] driver,
-//! * [`flat`] — a lean scheduler for small `Copy` events (no handles, no
-//!   cancellation) for throughput-critical inner loops,
 //! * [`slab`] — the generational slab allocator backing event payloads,
 //! * [`resource`] — a processor-sharing resource (disk/CPU contention) and
 //!   the [`resource::Retick`] wake-up helper,

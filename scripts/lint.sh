@@ -2,8 +2,9 @@
 # Static-analysis gate on its own (subset of scripts/verify.sh).
 #
 # Runs the rh-lint source pass against the ratcheted baseline, the
-# warm-reboot protocol checker, and the fleet rolling-rejuvenation
-# checker. Any arguments replace the default
+# warm-reboot protocol checker, the fleet rolling-rejuvenation checker,
+# the streamed-reboot post-copy checker and the cell balloon checker.
+# Any arguments replace the default
 # `--check` mode of the source pass, e.g.:
 #
 #   scripts/lint.sh --check --json       machine-readable findings
@@ -25,5 +26,11 @@ cargo run -q -p rh-lint --offline -- protocol --domains 3
 
 echo "==> rh-lint fleet"
 cargo run -q -p rh-lint --offline -- fleet
+
+echo "==> rh-lint postcopy"
+cargo run -q -p rh-lint --offline -- postcopy
+
+echo "==> rh-lint balloon --domains 3"
+cargo run -q -p rh-lint --offline -- balloon --domains 3
 
 echo "==> lint OK"
