@@ -20,7 +20,8 @@
 
 use std::time::{Duration, Instant};
 
-use rh_bench::exec::{self, PointResult, Sweep, DEFAULT_SEED};
+use rh_bench::exec::{PointResult, Sweep, DEFAULT_SEED};
+use rh_bench::json::ReproPoint;
 use rh_guest::services::ServiceKind;
 use rh_vmm::config::RebootStrategy;
 
@@ -51,7 +52,7 @@ impl Options {
                     .ok_or_else(|| format!("{flag} requires a value; {USAGE}"))
             };
             match arg.as_str() {
-                "--jobs" => opts.jobs = exec::parse_jobs(&value("--jobs")?)?,
+                "--jobs" => opts.jobs = rh_sim::pool::parse_jobs(&value("--jobs")?)?,
                 "--max-n" => {
                     opts.max_n = value("--max-n")?
                         .parse()
@@ -73,24 +74,11 @@ impl Options {
     }
 }
 
-/// One executed point's record for BENCH_repro.json.
-struct Record {
-    name: String,
-    wall: Duration,
-    profile: rh_obs::WallProfile,
-    ok: bool,
-}
-
-/// Appends every point's wall time to `records` and prints failed points
+/// Appends every point's record to `records` and prints failed points
 /// to stdout (deterministically).
-fn record<T>(records: &mut Vec<Record>, results: &[PointResult<T>]) {
+fn record<T>(records: &mut Vec<ReproPoint>, results: &[PointResult<T>]) {
     for r in results {
-        records.push(Record {
-            name: r.name.clone(),
-            wall: r.wall,
-            profile: r.profile.clone(),
-            ok: r.outcome.is_ok(),
-        });
+        records.push(ReproPoint::of(r));
         if let Err(e) = &r.outcome {
             println!("!! point {:?} failed: {e}\n", r.name);
         }
@@ -99,7 +87,11 @@ fn record<T>(records: &mut Vec<Record>, results: &[PointResult<T>]) {
 
 /// Runs a sweep, records every point, and returns the successful values in
 /// submission order.
-fn run_sweep<T: Send + 'static>(records: &mut Vec<Record>, sweep: Sweep<T>, jobs: usize) -> Vec<T> {
+fn run_sweep<T: Send + 'static>(
+    records: &mut Vec<ReproPoint>,
+    sweep: Sweep<T>,
+    jobs: usize,
+) -> Vec<T> {
     let mut results = sweep.run(jobs);
     record(records, &results);
     results.drain(..).filter_map(|r| r.into_value()).collect()
@@ -108,7 +100,7 @@ fn run_sweep<T: Send + 'static>(records: &mut Vec<Record>, sweep: Sweep<T>, jobs
 /// Runs a non-sweep experiment as a single named point so its wall time
 /// still lands in the run record.
 fn one<T: Send + 'static>(
-    records: &mut Vec<Record>,
+    records: &mut Vec<ReproPoint>,
     name: &str,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> Option<T> {
@@ -120,26 +112,12 @@ fn one<T: Send + 'static>(
 fn write_repro_json(
     path: &str,
     opts: &Options,
-    records: &[Record],
+    records: &[ReproPoint],
     headline: &[(String, f64)],
     total: Duration,
 ) {
     // The shared emitter hardens the document (escaped names, NaN→null);
     // rh_bench::json::tests prove whole-file validity for hostile inputs.
-    let points: Vec<rh_bench::json::ReproPoint> = records
-        .iter()
-        .map(|r| rh_bench::json::ReproPoint {
-            name: r.name.clone(),
-            wall_ms: r.wall.as_secs_f64() * 1e3,
-            spans: r
-                .profile
-                .spans()
-                .iter()
-                .map(|s| (s.label.clone(), s.elapsed.as_secs_f64() * 1e3))
-                .collect(),
-            ok: r.ok,
-        })
-        .collect();
     let json = rh_bench::json::repro_document(
         &[
             ("jobs", opts.jobs.to_string()),
@@ -147,7 +125,7 @@ fn write_repro_json(
             ("quick", opts.quick.to_string()),
         ],
         total.as_secs_f64() * 1e3,
-        &points,
+        records,
         headline,
     );
     if let Err(e) = std::fs::write(path, json) {
@@ -164,7 +142,7 @@ fn main() {
         }
     };
     let total = Instant::now();
-    let mut records: Vec<Record> = Vec::new();
+    let mut records: Vec<ReproPoint> = Vec::new();
     let mut headline: Vec<(String, f64)> = Vec::new();
     let jobs = opts.jobs;
     let max_n = opts.max_n;

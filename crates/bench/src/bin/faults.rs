@@ -3,7 +3,7 @@
 //! arrivals. Deterministic at any `--jobs` worker count.
 //!
 //! Usage: `faults [--jobs N] [--quick]`
-use rh_bench::exec::{parse_jobs, DEFAULT_SEED};
+use rh_bench::exec::DEFAULT_SEED;
 use rh_bench::reliability::{fault_sweep, render_fault_sweep};
 use rh_sim::time::SimDuration;
 
@@ -15,7 +15,7 @@ fn main() {
         match arg.as_str() {
             "--jobs" => {
                 let v = args.next().unwrap_or_default();
-                match parse_jobs(&v) {
+                match rh_sim::pool::parse_jobs(&v) {
                     Ok(n) => jobs = n,
                     Err(e) => {
                         eprintln!("{e}");

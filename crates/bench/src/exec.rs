@@ -240,28 +240,73 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Parses a `--jobs N` value: a positive worker count, or `0` meaning
-/// "one worker per available CPU".
+/// The whole `main` of a grid-sweep binary (`fleetbench`, `cellbench`,
+/// `frontier`): parses `--jobs N` (default 1, 0 = all CPUs), `--quick`
+/// and `--json PATH` (`-` disables; default off), runs `sweep(quick)`,
+/// prints each failed point and then `render` of the successful rows, and
+/// writes the run record with `headline(rows)` when `--json` is given.
 ///
-/// # Errors
-///
-/// Returns a usage message when `value` is not a non-negative integer.
-pub fn parse_jobs(value: &str) -> Result<usize, String> {
-    let n: usize = value
-        .parse()
-        .map_err(|_| format!("--jobs: expected a non-negative integer, got {value:?}"))?;
-    if n == 0 {
-        Ok(available_cpus())
-    } else {
-        Ok(n)
+/// Stdout is byte-identical at any `--jobs`; wall times go only to the
+/// run record. A usage error prints `bin: …` on stderr and exits with
+/// status 2.
+pub fn sweep_main<T: Send + 'static, R: std::fmt::Display>(
+    bin: &str,
+    sweep: impl FnOnce(bool) -> Sweep<T>,
+    render: impl FnOnce(&[T]) -> R,
+    headline: impl FnOnce(&[T]) -> Vec<(String, f64)>,
+) {
+    let usage = format!("usage: {bin} [--jobs N] [--quick] [--json PATH]");
+    let mut jobs = 1;
+    let mut quick = false;
+    let mut json: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .ok_or_else(|| format!("{flag} requires a value; {usage}"))
+        };
+        let parsed = match arg.as_str() {
+            "--jobs" => value("--jobs")
+                .and_then(|v| rh_sim::pool::parse_jobs(&v))
+                .map(|j| jobs = j),
+            "--quick" => {
+                quick = true;
+                Ok(())
+            }
+            "--json" => value("--json").map(|path| {
+                json = if path == "-" { None } else { Some(path) };
+            }),
+            other => Err(format!("unknown argument {other:?}; {usage}")),
+        };
+        if let Err(e) = parsed {
+            eprintln!("{bin}: {e}");
+            std::process::exit(2);
+        }
     }
-}
 
-/// Worker count for `--jobs 0`: the parallelism the OS reports, or 1.
-pub fn available_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    let start = Instant::now();
+    let mut rows = Vec::new();
+    let mut points = Vec::new();
+    for r in sweep(quick).run(jobs) {
+        points.push(crate::json::ReproPoint::of(&r));
+        match r.outcome {
+            Ok(row) => rows.push(row),
+            Err(e) => println!("!! point {:?} failed: {e}\n", r.name),
+        }
+    }
+    println!("{}", render(&rows));
+
+    if let Some(path) = &json {
+        let doc = crate::json::repro_document(
+            &[("jobs", jobs.to_string()), ("quick", quick.to_string())],
+            start.elapsed().as_secs_f64() * 1e3,
+            &points,
+            &headline(&rows),
+        );
+        if let Err(e) = std::fs::write(path, doc) {
+            eprintln!("{bin}: failed to write {path}: {e}");
+        }
+    }
 }
 
 /// Parses the arguments of a figure binary that accepts only `--jobs N`
@@ -279,7 +324,7 @@ pub fn jobs_from_args(args: impl Iterator<Item = String>) -> Result<usize, Strin
                 let v = args
                     .next()
                     .ok_or("--jobs requires a value; usage: --jobs N")?;
-                jobs = parse_jobs(&v)?;
+                jobs = rh_sim::pool::parse_jobs(&v)?;
             }
             other => return Err(format!("unknown argument {other:?}; usage: --jobs N")),
         }
@@ -370,14 +415,6 @@ mod tests {
         let results = square_sweep(3).run(64);
         assert_eq!(results.len(), 3);
         assert!(results.iter().all(|r| r.outcome.is_ok()));
-    }
-
-    #[test]
-    fn parse_jobs_accepts_counts_and_zero() {
-        assert_eq!(parse_jobs("3"), Ok(3));
-        assert_eq!(parse_jobs("0"), Ok(available_cpus()));
-        assert!(parse_jobs("many").is_err());
-        assert!(parse_jobs("-1").is_err());
     }
 
     #[test]

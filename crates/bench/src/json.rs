@@ -12,6 +12,8 @@
 
 use std::fmt::Write as _;
 
+use crate::exec::PointResult;
+
 /// Escapes a string for embedding inside a JSON string literal
 /// (everything RFC 8259 §7 requires: `"` `\` and all control characters).
 pub fn escape(s: &str) -> String {
@@ -55,8 +57,27 @@ pub struct ReproPoint {
     pub ok: bool,
 }
 
-/// Renders the machine-readable run record shared by the `all` and
-/// `frontier` binaries: flags, per-point wall times, and headline figures.
+impl ReproPoint {
+    /// The record of one executed sweep point: its name, wall time, wall
+    /// spans and whether it succeeded.
+    pub fn of<T>(r: &PointResult<T>) -> ReproPoint {
+        ReproPoint {
+            name: r.name.clone(),
+            wall_ms: r.wall.as_secs_f64() * 1e3,
+            spans: r
+                .profile
+                .spans()
+                .iter()
+                .map(|s| (s.label.clone(), s.elapsed.as_secs_f64() * 1e3))
+                .collect(),
+            ok: r.outcome.is_ok(),
+        }
+    }
+}
+
+/// Renders the machine-readable run record shared by `all` and the
+/// grid-sweep binaries ([`crate::exec::sweep_main`]): flags, per-point
+/// wall times, and headline figures.
 /// Always valid JSON, whatever the inputs contain.
 pub fn repro_document(
     flags: &[(&str, String)],

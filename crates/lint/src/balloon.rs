@@ -35,7 +35,7 @@
 
 use std::fmt;
 
-use crate::explore::{self, Model, Options as ExploreOptions};
+use crate::explore::{self, Model, Options as ExploreOptions, Run, Violation};
 
 /// Model scale and fault injection.
 #[derive(Debug, Clone)]
@@ -396,54 +396,17 @@ impl Model for BalloonModel<'_> {
         // neither predicate.
         matches!(event, Event::Demand(..) | Event::Scrub)
     }
-}
 
-/// A reachable state violating I8 or I9, with the event path to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Which invariant failed (`I8 frozen-frames-fenced`, …).
-    pub invariant: String,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// Typed events from the initial state to the violating state
-    /// ([`to_obs_trace`] of the model-event path).
-    pub trace: Vec<rh_obs::Event>,
-    /// The raw model-event path (what [`replay`] accepts).
-    pub events: Vec<Event>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
-        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
-        f.write_str(&rh_obs::render_numbered(&self.trace))
-    }
-}
-
-/// Result of an exhaustive balloon/warm-reboot exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exploration {
-    /// Distinct states visited.
-    pub states: u64,
-    /// Transitions taken (including ones into already-visited states).
-    pub transitions: u64,
-    /// Distinct reachable states in which every domain finished its warm
-    /// reboot with no demand outstanding — proof rejuvenation completes
-    /// under balloon pressure.
-    pub completed_rounds: u64,
-    /// The first violation found, if any.
-    pub violation: Option<Violation>,
-}
-
-impl Exploration {
-    /// True when every reachable state satisfied every invariant.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none()
+    fn trace(&self, events: &[Event]) -> Vec<rh_obs::Event> {
+        to_obs_trace(events)
     }
 }
 
 /// Exhaustively explores every interleaving of warm reboots and balloon
-/// traffic, checking I8/I9 in every reachable state.
+/// traffic, checking I8/I9 in every reachable state. The run's goal count
+/// is the distinct reachable states in which every domain finished its
+/// warm reboot with no demand outstanding — proof rejuvenation completes
+/// under balloon pressure.
 ///
 /// With `opts.reduce` (the default) the visited set is quotiented under
 /// domain permutation and partial-order reduction prunes commuting
@@ -454,62 +417,30 @@ impl Exploration {
 /// # Errors
 ///
 /// Returns an error string on an invalid config or when `opts.max_states`
-/// is exhausted; protocol violations come back inside the
-/// [`Exploration`].
-pub fn explore(cfg: &BalloonConfig, opts: &ExploreOptions) -> Result<Exploration, String> {
+/// is exhausted; protocol violations come back inside the [`Run`].
+pub fn explore(cfg: &BalloonConfig, opts: &ExploreOptions) -> Result<Run<Event>, String> {
     let model = BalloonModel {
         cfg,
         symmetry: opts.reduce,
     };
-    let run = explore::explore(&model, opts)?;
-    Ok(Exploration {
-        states: run.states,
-        transitions: run.transitions,
-        completed_rounds: run.completed,
-        violation: run.violation.map(|c| Violation {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: to_obs_trace(&c.events),
-            events: c.events,
-        }),
-    })
+    explore::explore(&model, opts)
 }
 
 /// Replays one specific event sequence through the same transition table
-/// and invariant checks — used to re-validate reduced-exploration
-/// counterexamples against the unreduced rules.
+/// and invariant checks ([`explore::replay`] on the unreduced model) —
+/// used to re-validate reduced-exploration counterexamples against the
+/// unreduced rules.
 ///
 /// # Errors
 ///
 /// Returns a [`Violation`] if an event fires while its guard is false, or
 /// any invariant fails afterwards.
-pub fn replay(cfg: &BalloonConfig, events: &[Event]) -> Result<(), Violation> {
-    let fail = |invariant: &str, detail: String, trace: &[Event]| Violation {
-        invariant: invariant.to_string(),
-        detail,
-        trace: to_obs_trace(trace),
-        events: trace.to_vec(),
+pub fn replay(cfg: &BalloonConfig, events: &[Event]) -> Result<(), Violation<Event>> {
+    let model = BalloonModel {
+        cfg,
+        symmetry: false,
     };
-    validate(cfg).map_err(|e| fail("model-init", e, &[]))?;
-    let mut state = ModelState::init(cfg);
-    let mut trace: Vec<Event> = Vec::new();
-    for event in events {
-        trace.push(*event);
-        if !state.enabled_events(cfg).contains(event) {
-            return Err(fail(
-                "guard",
-                format!("event {event} fired while its guard is false"),
-                &trace,
-            ));
-        }
-        if let Err(e) = state.apply(cfg, *event) {
-            return Err(fail("model-apply", e, &trace));
-        }
-        if let Err((invariant, detail)) = state.check_invariants() {
-            return Err(fail(&invariant, detail, &trace));
-        }
-    }
-    Ok(())
+    explore::replay(&model, events)
 }
 
 #[cfg(test)]
@@ -531,7 +462,7 @@ mod tests {
     fn default_config_satisfies_both_invariants() {
         let run = explore(&BalloonConfig::default(), &reduced()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_rounds > 0, "rejuvenation must complete");
+        assert!(run.completed > 0, "rejuvenation must complete");
     }
 
     #[test]
@@ -545,7 +476,7 @@ mod tests {
         };
         let run = explore(&cfg, &raw()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_rounds > 0);
+        assert!(run.completed > 0);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! A generic explicit-state model-checking engine.
 //!
-//! The warm-reboot checker ([`crate::protocol`]) and the fleet checker
-//! ([`crate::fleet`]) are both instances of the same algorithm: exhaustive
-//! breadth-first exploration of every event interleaving, invariant checks
-//! in every reachable state, and a shortest counterexample path when one
-//! fails. This module owns that algorithm once, behind the [`Model`]
-//! trait, and layers three scaling mechanisms on top (DESIGN.md §14):
+//! The four checkers ([`crate::protocol`], [`crate::fleet`],
+//! [`crate::postcopy`], [`crate::balloon`]) are all instances of the same
+//! algorithm: exhaustive breadth-first exploration of every event
+//! interleaving, invariant checks in every reachable state, and a
+//! shortest counterexample path when one fails. This module owns that
+//! algorithm once, behind the [`Model`] trait, together with the only
+//! result ([`Run`]), counterexample ([`Violation`]) and path-replay
+//! ([`replay`]) the checkers use, and layers three scaling mechanisms on
+//! top (DESIGN.md §14):
 //!
 //! * **Symmetry reduction** — the model's [`Model::encode`] returns the
 //!   *canonical* encoding of a state (e.g. quotiented under domain
@@ -33,6 +36,7 @@
 //! on pass/fail and on the violated invariant for every small config.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// A finite-state transition system the engine can explore.
 ///
@@ -97,6 +101,11 @@ pub trait Model: Sync {
         let _ = event;
         false
     }
+
+    /// Maps a model-event path onto the typed [`rh_obs::Event`] stream a
+    /// [`Violation`] renders, so a checker finding reads like a simulator
+    /// trace.
+    fn trace(&self, events: &[Self::Event]) -> Vec<rh_obs::Event>;
 }
 
 /// Exploration options: worker count, reduction switch, state budget.
@@ -125,16 +134,43 @@ impl Default for Options {
     }
 }
 
-/// A property violation with the raw event path that reaches it.
+/// A reachable state violating an invariant, with the event path to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counterexample<E> {
-    /// Which invariant failed.
+pub struct Violation<E> {
+    /// Which invariant failed (`I2 digest-preservation`, …), or `guard`,
+    /// `model-init` or `model-apply` when [`replay`] rejects a path.
     pub invariant: String,
     /// What exactly went wrong in the violating state.
     pub detail: String,
     /// Model events from the initial state to the violation, in order.
     /// Under breadth-first exploration this path has minimal length.
     pub events: Vec<E>,
+    /// The same path as typed events ([`Model::trace`] of `events`).
+    pub trace: Vec<rh_obs::Event>,
+}
+
+impl<E> Violation<E> {
+    fn new<M: Model<Event = E>>(
+        model: &M,
+        invariant: String,
+        detail: String,
+        events: Vec<E>,
+    ) -> Self {
+        Violation {
+            invariant,
+            detail,
+            trace: model.trace(&events),
+            events,
+        }
+    }
+}
+
+impl<E> fmt::Display for Violation<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
+        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
+        f.write_str(&rh_obs::render_numbered(&self.trace))
+    }
 }
 
 /// The outcome of an exhaustive exploration.
@@ -147,7 +183,7 @@ pub struct Run<E> {
     /// Distinct reachable goal states ([`Model::is_goal`]).
     pub completed: u64,
     /// The first violation found in deterministic merge order, if any.
-    pub violation: Option<Counterexample<E>>,
+    pub violation: Option<Violation<E>>,
 }
 
 impl<E> Run<E> {
@@ -253,11 +289,7 @@ pub fn explore<M: Model>(model: &M, opts: &Options) -> Result<Run<M::Event>, Str
         violation: None,
     };
     if let Err((invariant, detail)) = model.check(&init) {
-        run.violation = Some(Counterexample {
-            invariant,
-            detail,
-            events: Vec::new(),
-        });
+        run.violation = Some(Violation::new(model, invariant, detail, Vec::new()));
         return Ok(run);
     }
     let mut visited: BTreeSet<Vec<u64>> = BTreeSet::new();
@@ -295,11 +327,7 @@ pub fn explore<M: Model>(model: &M, opts: &Options) -> Result<Run<M::Event>, Str
                 if let Some((invariant, detail)) = succ.fail {
                     let mut events = path_to(&nodes, idx);
                     events.push(succ.event);
-                    run.violation = Some(Counterexample {
-                        invariant,
-                        detail,
-                        events,
-                    });
+                    run.violation = Some(Violation::new(model, invariant, detail, events));
                     return Ok(run);
                 }
                 if visited.insert(succ.enc) {
@@ -324,6 +352,45 @@ pub fn explore<M: Model>(model: &M, opts: &Options) -> Result<Run<M::Event>, Str
         level = next_level;
     }
     Ok(run)
+}
+
+/// Replays one specific event path through the model's own transition
+/// table: every event must be enabled where it fires, and every invariant
+/// must hold after it. This is how a counterexample found under reduction
+/// is re-validated against the unreduced rules, and how a real trace
+/// mapped onto model events is checked against the model.
+///
+/// # Errors
+///
+/// A [`Violation`] whose path ends at the offending event: `model-init`
+/// when the initial state cannot be built, `guard` when an event fires
+/// while its guard is false, `model-apply` on an internal model failure,
+/// or the name of the invariant that fails.
+pub fn replay<M: Model>(model: &M, events: &[M::Event]) -> Result<(), Violation<M::Event>>
+where
+    M::Event: fmt::Display,
+{
+    let fail = |invariant: &str, detail: String, path: &[M::Event]| {
+        Violation::new(model, invariant.to_string(), detail, path.to_vec())
+    };
+    let mut state = model.initial().map_err(|e| fail("model-init", e, &[]))?;
+    for (k, &event) in events.iter().enumerate() {
+        let path = &events[..=k];
+        if !model.enabled(&state).contains(&event) {
+            return Err(fail(
+                "guard",
+                format!("event {event} fired while its guard is false"),
+                path,
+            ));
+        }
+        state = model
+            .apply(&state, event)
+            .map_err(|e| fail("model-apply", e, path))?;
+        model
+            .check(&state)
+            .map_err(|(invariant, detail)| fail(&invariant, detail, path))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -386,6 +453,13 @@ mod tests {
             // Setting a flag changes the set-count, which the invariant
             // reads — only stutter-safe when no invariant is armed.
             self.trip_at.is_none()
+        }
+
+        fn trace(&self, events: &[usize]) -> Vec<rh_obs::Event> {
+            events
+                .iter()
+                .map(|e| rh_obs::Event::note("flags", format!("set flag {e}")))
+                .collect()
         }
     }
 
@@ -542,6 +616,43 @@ mod tests {
         )
         .unwrap();
         assert!(run.passed());
+    }
+
+    #[test]
+    fn replay_accepts_a_legal_path() {
+        assert_eq!(replay(&flags(4), &[2, 0, 3, 1]), Ok(()));
+        assert_eq!(replay(&flags(4), &[]), Ok(()));
+    }
+
+    #[test]
+    fn replay_rejects_a_repeated_flag_as_a_guard_failure() {
+        let v = replay(&flags(3), &[1, 1]).unwrap_err();
+        assert_eq!(v.invariant, "guard");
+        assert_eq!(v.detail, "event 1 fired while its guard is false");
+        assert_eq!(v.events, vec![1, 1], "the path ends at the offending event");
+    }
+
+    #[test]
+    fn replay_names_the_tripped_invariant_with_its_path() {
+        let model = Flags {
+            n: 5,
+            trip_at: Some(2),
+            symmetric: false,
+        };
+        let path = [4, 1];
+        let v = replay(&model, &path).unwrap_err();
+        assert_eq!(v.invariant, "K-flags");
+        assert_eq!(v.detail, "2 flags set");
+        assert_eq!(v.events, path.to_vec());
+        assert_eq!(v.trace, model.trace(&path));
+        // Replay stops at the first tripping event of a longer path.
+        let longer = replay(&model, &[4, 1, 0]).unwrap_err();
+        assert_eq!(longer, v);
+        // The same violation an exploration reports carries its trace too.
+        let run = explore(&model, &Options::default()).unwrap();
+        let found = run.violation.expect("2 set flags are reachable");
+        assert_eq!(found.trace, model.trace(&found.events));
+        assert_eq!(replay(&model, &found.events), Err(found));
     }
 
     #[test]

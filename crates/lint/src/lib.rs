@@ -13,7 +13,11 @@
 //! rejuvenation campaign ([`fleet`], invariants I6/I7), the post-copy
 //! page-serving fault path of the streamed reboot ([`postcopy`],
 //! invariants P1/P2), and the balloon / warm-reboot interaction of the
-//! serverless cell ([`balloon`], invariants I8/I9).
+//! serverless cell ([`balloon`], invariants I8/I9). Every model returns
+//! the engine's one result type, [`explore::Run`], whose
+//! [`explore::Violation`] carries the shortest counterexample as model
+//! events and as a typed `rh_obs` trace; [`explore::replay`] re-checks
+//! any event path against a model.
 //!
 //! Run it via the binary:
 //!
@@ -24,7 +28,7 @@
 //! cargo run -p rh-lint -- protocol --domains 3
 //! cargo run -p rh-lint -- protocol --buggy # must find the §4.3 hazard
 //! cargo run -p rh-lint -- fleet            # campaign invariants I6/I7
-//! cargo run -p rh-lint -- fleet --buggy-overlap  # must find the I7 bug
+//! cargo run -p rh-lint -- fleet --driver buggy-overlap  # must find the I7 bug
 //! cargo run -p rh-lint -- postcopy         # stream-in invariants P1/P2
 //! cargo run -p rh-lint -- postcopy --buggy # must find the early serve
 //! cargo run -p rh-lint -- balloon          # cell invariants I8/I9

@@ -37,7 +37,7 @@
 
 use std::fmt;
 
-use crate::explore::{self, Model, Options as ExploreOptions};
+use crate::explore::{self, Model, Options as ExploreOptions, Run, Violation};
 
 use rh_memory::contents::DigestBuilder;
 
@@ -485,53 +485,20 @@ impl Model for PostcopyModel<'_> {
         // issuing a read and landing it in the buffer touch neither.
         matches!(event, Event::StreamIn(..) | Event::Arrive(..))
     }
-}
 
-/// A reachable state violating P1 or P2, with the event path to it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Violation {
-    /// Which invariant failed (`P1 validated-before-serve`, …).
-    pub invariant: String,
-    /// What exactly went wrong.
-    pub detail: String,
-    /// Typed events from the initial state to the violating state
-    /// ([`to_obs_trace`] of the model-event path).
-    pub trace: Vec<rh_obs::Event>,
-    /// The raw model-event path (what [`replay`] accepts).
-    pub events: Vec<Event>,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "invariant {} violated: {}", self.invariant, self.detail)?;
-        writeln!(f, "counterexample trace ({} events):", self.trace.len())?;
-        f.write_str(&rh_obs::render_numbered(&self.trace))
+    fn trace(&self, events: &[Event]) -> Vec<rh_obs::Event> {
+        to_obs_trace(events)
     }
 }
 
-/// Result of an exhaustive post-copy exploration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exploration {
-    /// Distinct states visited.
-    pub states: u64,
-    /// Transitions taken (including ones into already-visited states).
-    pub transitions: u64,
-    /// Distinct reachable states in which every page is resident and no
-    /// request is blocked — proof the stream-in can complete.
-    pub completed_streams: u64,
-    /// The first violation found, if any.
-    pub violation: Option<Violation>,
-}
-
-impl Exploration {
-    /// True when every reachable state satisfied every invariant.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none()
-    }
-}
+/// The result of [`explore()`] under its own name, for callers outside
+/// this workspace that import it.
+pub type Exploration = Run<Event>;
 
 /// Exhaustively explores every interleaving of the post-copy fault path,
-/// checking P1/P2 in every reachable state.
+/// checking P1/P2 in every reachable state. The run's goal count is the
+/// distinct reachable states in which every page is resident and no
+/// request is blocked — proof the stream-in can complete.
 ///
 /// With `opts.reduce` (the default) the visited set is quotiented under
 /// domain permutation and partial-order reduction prunes commuting
@@ -542,62 +509,30 @@ impl Exploration {
 /// # Errors
 ///
 /// Returns an error string on an invalid config or when `opts.max_states`
-/// is exhausted; protocol violations come back inside the
-/// [`Exploration`].
-pub fn explore(cfg: &PostcopyConfig, opts: &ExploreOptions) -> Result<Exploration, String> {
+/// is exhausted; protocol violations come back inside the [`Run`].
+pub fn explore(cfg: &PostcopyConfig, opts: &ExploreOptions) -> Result<Run<Event>, String> {
     let model = PostcopyModel {
         cfg,
         symmetry: opts.reduce,
     };
-    let run = explore::explore(&model, opts)?;
-    Ok(Exploration {
-        states: run.states,
-        transitions: run.transitions,
-        completed_streams: run.completed,
-        violation: run.violation.map(|c| Violation {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: to_obs_trace(&c.events),
-            events: c.events,
-        }),
-    })
+    explore::explore(&model, opts)
 }
 
 /// Replays one specific event sequence through the same transition table
-/// and invariant checks — used to re-validate reduced-exploration
-/// counterexamples against the unreduced rules.
+/// and invariant checks ([`explore::replay`] on the unreduced model) —
+/// used to re-validate reduced-exploration counterexamples against the
+/// unreduced rules.
 ///
 /// # Errors
 ///
 /// Returns a [`Violation`] if an event fires while its guard is false, or
 /// any invariant fails afterwards.
-pub fn replay(cfg: &PostcopyConfig, events: &[Event]) -> Result<(), Violation> {
-    let fail = |invariant: &str, detail: String, trace: &[Event]| Violation {
-        invariant: invariant.to_string(),
-        detail,
-        trace: to_obs_trace(trace),
-        events: trace.to_vec(),
+pub fn replay(cfg: &PostcopyConfig, events: &[Event]) -> Result<(), Violation<Event>> {
+    let model = PostcopyModel {
+        cfg,
+        symmetry: false,
     };
-    validate(cfg).map_err(|e| fail("model-init", e, &[]))?;
-    let mut state = ModelState::init(cfg);
-    let mut trace: Vec<Event> = Vec::new();
-    for event in events {
-        trace.push(*event);
-        if !state.enabled_events(cfg).contains(event) {
-            return Err(fail(
-                "guard",
-                format!("event {event} fired while its guard is false"),
-                &trace,
-            ));
-        }
-        if let Err(e) = state.apply(*event) {
-            return Err(fail("model-apply", e, &trace));
-        }
-        if let Err((invariant, detail)) = state.check_invariants() {
-            return Err(fail(&invariant, detail, &trace));
-        }
-    }
-    Ok(())
+    explore::replay(&model, events)
 }
 
 #[cfg(test)]
@@ -619,7 +554,7 @@ mod tests {
     fn default_config_satisfies_both_invariants() {
         let run = explore(&PostcopyConfig::default(), &reduced()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_streams > 0, "stream-in must be completable");
+        assert!(run.completed > 0, "stream-in must be completable");
     }
 
     #[test]
@@ -634,7 +569,7 @@ mod tests {
         };
         let run = explore(&cfg, &raw()).unwrap();
         assert!(run.passed(), "{:?}", run.violation);
-        assert!(run.completed_streams > 0);
+        assert!(run.completed > 0);
     }
 
     #[test]
@@ -670,7 +605,7 @@ mod tests {
         let run = explore(&cfg, &raw()).unwrap();
         assert!(run.passed());
         // Only the guest touches remain: 2 flags per domain.
-        assert_eq!(run.completed_streams, 16);
+        assert_eq!(run.completed, 16);
     }
 
     #[test]

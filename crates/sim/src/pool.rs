@@ -17,6 +17,9 @@
 //! keeps the call synchronous and the borrow story simple (the closure may
 //! borrow the caller's stack).
 //!
+//! Every binary that takes `--jobs N` reads it through [`parse_jobs`], so
+//! `--jobs 0` means one worker per available CPU everywhere.
+//!
 //! Panics inside `f` propagate out of [`run_indexed`] when the scope joins;
 //! callers that need per-task isolation (the bench executor) wrap their
 //! closure in [`std::panic::catch_unwind`] themselves.
@@ -86,6 +89,30 @@ fn lock_ok<M>(mutex: &Mutex<M>) -> std::sync::MutexGuard<'_, M> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// Parses a `--jobs N` value: a positive worker count, or `0` meaning
+/// "one worker per available CPU".
+///
+/// # Errors
+///
+/// Returns a usage message when `value` is not a non-negative integer.
+pub fn parse_jobs(value: &str) -> Result<usize, String> {
+    let n: usize = value
+        .parse()
+        .map_err(|_| format!("--jobs: expected a non-negative integer, got {value:?}"))?;
+    if n == 0 {
+        Ok(available_cpus())
+    } else {
+        Ok(n)
+    }
+}
+
+/// Worker count for `--jobs 0`: the parallelism the OS reports, or 1.
+pub fn available_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +141,14 @@ mod tests {
     fn zero_jobs_means_one_worker() {
         let out = run_indexed(4, 0, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn parse_jobs_accepts_counts_and_zero() {
+        assert_eq!(parse_jobs("3"), Ok(3));
+        assert_eq!(parse_jobs("0"), Ok(available_cpus()));
+        assert!(parse_jobs("many").is_err());
+        assert!(parse_jobs("-1").is_err());
     }
 
     #[test]

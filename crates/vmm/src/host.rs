@@ -1043,42 +1043,13 @@ impl Host {
         // Everything running dies instantly: no clean shutdowns, no
         // suspend handlers, no flushed caches.
         self.vmm.set_down();
-        let ids: Vec<DomainId> = self.domains.keys().copied().collect();
         for dom in self.domains.values_mut() {
             if let Some(svc) = dom.service.as_mut() {
                 svc.kill();
             }
             dom.kernel.crash();
         }
-        // Tear down in-flight work and I/O.
-        self.work.clear();
-        self.disk.cancel_all(now);
-        self.disk_jobs.clear();
-        self.cpu.cancel_all(now);
-        self.cpu_jobs.clear();
-        self.net.cancel_all(now);
-        self.net_jobs.clear();
-        self.rearm_disk(sched);
-        self.rearm_cpu(sched);
-        self.rearm_net(sched);
-        // Free httperf workers whose requests evaporated with the host.
-        let stale: Vec<u64> = self.requests.keys().copied().collect();
-        for rid in stale {
-            self.requests.remove(&rid);
-            if let Some((_, client)) = self.httperf.as_mut() {
-                client.abort();
-            }
-        }
-        self.file_reads.clear();
-        // In-flight streams and delta snapshots died with their disk jobs;
-        // the chains survive on disk but go stale at the next restore.
-        self.streaming.clear();
-        self.pending_snapshots.clear();
-        // Any half-done single-domain rejuvenations died with the host.
-        self.single_rejuvs.clear();
-        for id in &ids {
-            self.refresh(sched, *id);
-        }
+        self.tear_down_in_flight(sched);
         // Reactive recovery: watchdog-initiated hardware reset, then the
         // ordinary cold bring-up. The reset wipes the crashed domains'
         // memory wholesale.
@@ -1110,6 +1081,16 @@ impl Host {
         self.vmm.set_down();
         // In-flight work and I/O stall with the VMM; the frozen guests do
         // not execute, so nothing completes.
+        self.tear_down_in_flight(sched);
+    }
+
+    /// What a VMM failure takes down with it, shared by
+    /// [`crash_vmm`](Self::crash_vmm) and
+    /// [`fault_vmm_crash`](Self::fault_vmm_crash): in-flight work and I/O,
+    /// outstanding requests, streams, delta snapshots and single-domain
+    /// rejuvenations. Every domain is then refreshed against the dead VMM.
+    fn tear_down_in_flight(&mut self, sched: &mut Scheduler<HostEvent>) {
+        let now = sched.now();
         self.work.clear();
         self.disk.cancel_all(now);
         self.disk_jobs.clear();
@@ -1120,6 +1101,7 @@ impl Host {
         self.rearm_disk(sched);
         self.rearm_cpu(sched);
         self.rearm_net(sched);
+        // Free httperf workers whose requests evaporated with the host.
         let stale: Vec<u64> = self.requests.keys().copied().collect();
         for rid in stale {
             self.requests.remove(&rid);
@@ -1128,8 +1110,11 @@ impl Host {
             }
         }
         self.file_reads.clear();
+        // In-flight streams and delta snapshots died with their disk jobs;
+        // the chains survive on disk but go stale at the next restore.
         self.streaming.clear();
         self.pending_snapshots.clear();
+        // Any half-done single-domain rejuvenations died with the host.
         self.single_rejuvs.clear();
         let ids: Vec<DomainId> = self.domains.keys().copied().collect();
         for id in ids {

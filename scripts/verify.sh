@@ -51,12 +51,12 @@ cargo run -q --release -p rh-lint --offline -- fleet
 cargo run -q --release -p rh-lint --offline -- \
     fleet --driver wave --hosts 5 --max-down 2 --crashes 2
 if cargo run -q --release -p rh-lint --offline -- \
-    fleet --buggy-overlap > "$smoke_dir/fleet_buggy.txt" 2>&1; then
-    echo "FAIL: fleet --buggy-overlap must produce an I7 counterexample" >&2
+    fleet --driver buggy-overlap > "$smoke_dir/fleet_buggy.txt" 2>&1; then
+    echo "FAIL: fleet --driver buggy-overlap must produce an I7 counterexample" >&2
     exit 1
 fi
 if ! grep -q "I7 single-recovery" "$smoke_dir/fleet_buggy.txt"; then
-    echo "FAIL: fleet --buggy-overlap counterexample must cite I7" >&2
+    echo "FAIL: fleet --driver buggy-overlap counterexample must cite I7" >&2
     cat "$smoke_dir/fleet_buggy.txt" >&2
     exit 1
 fi
