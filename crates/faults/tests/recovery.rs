@@ -357,68 +357,6 @@ fn crash_mid_delta_snapshot_recovers_and_incremental_still_saves() {
 }
 
 #[test]
-fn crash_during_deflate_leaves_the_p2m_and_allocator_consistent() {
-    use rh_vmm::{dispatch_hooked, Domain, Hypercall, HypercallError, Vmm, VmmState};
-    use std::collections::BTreeMap;
-
-    // A guest grows back toward spec (balloon-in, the cell's revive
-    // deflate) and the VMM dies at the hypercall boundary. The crash
-    // lands before any frame moves: the P2M must keep its exact
-    // pre-call geometry, stay injective, and a recovered VMM must be
-    // able to retry the same deflate cleanly.
-    let mut vmm = Vmm::new(2 * rh_memory::frame::FRAMES_PER_GIB);
-    let mut contents = rh_memory::contents::FrameContents::new();
-    let mut domains = BTreeMap::new();
-    let mut guest = Domain::new(
-        DomainId(1),
-        DomainSpec::standard("fn-vm", ServiceKind::Ssh),
-        0,
-    );
-    vmm.create_domain(&mut guest, &mut contents)
-        .expect("guest fits");
-    domains.insert(DomainId(1), guest);
-
-    // Squeeze first, so the deflate has room to grow back into.
-    let spec_pages = domains[&DomainId(1)].p2m.total_pages();
-    rh_vmm::dispatch(
-        &mut vmm,
-        &mut domains,
-        &mut contents,
-        DomainId(1),
-        Hypercall::BalloonOut { pages: 4_096 },
-    )
-    .expect("balloon out succeeds");
-    let squeezed = domains[&DomainId(1)].p2m.total_pages();
-    assert_eq!(squeezed, spec_pages - 4_096);
-    let ranges_before = domains[&DomainId(1)].p2m.machine_ranges();
-
-    let plan = FaultPlan::new(31).arm(InjectPoint::Hypercall, Trigger::Nth(1), FaultKind::VmmCrash);
-    let mut hook = Injector::new(&plan);
-    let err = dispatch_hooked(
-        &mut vmm,
-        &mut domains,
-        &mut contents,
-        DomainId(1),
-        Hypercall::BalloonIn { pages: 4_096 },
-        &mut hook,
-        rh_sim::time::SimTime::ZERO,
-    )
-    .expect_err("the injected crash must abort the deflate");
-    assert!(matches!(err, HypercallError::Vmm(_)), "{err:?}");
-    assert_eq!(vmm.state(), VmmState::Down);
-
-    // Nothing moved: same page count, same machine frames, no overlap.
-    // (Recovery-side retry — a recovered host deflating the same guest
-    // back to spec — is covered end to end by the harness test below.)
-    let dom = &domains[&DomainId(1)];
-    assert_eq!(dom.p2m.total_pages(), squeezed);
-    assert_eq!(dom.p2m.machine_ranges(), ranges_before);
-    dom.p2m
-        .check_machine_disjoint()
-        .expect("P2M stayed injective across the crash");
-}
-
-#[test]
 fn ballooned_domain_survives_vmm_crash_and_deflates_after_recovery() {
     // The cell's steady state: a guest squeezed by reclaim-under-pressure
     // when the VMM crashes mid-warm-reboot. Recovery must salvage the

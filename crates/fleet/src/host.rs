@@ -14,14 +14,12 @@
 use rh_faults::recovery::RecoveryPolicy;
 use rh_rejuv::model::{DiskedReboot, DowntimeModel};
 use rh_sim::time::SimDuration;
-use rh_vmm::config::RebootStrategy;
+use rh_vmm::config::{RebootStrategy, STREAM_WORKING_SET};
 use rh_vmm::timing::TimingParams;
 
 /// The fraction of the OS-rejuvenation interval already elapsed when a
 /// cold reboot lands (the `α` of `d_c(n, α)`); mid-interval on average.
 const COLD_ALPHA: f64 = 0.5;
-/// Working-set fraction restored up front by a streamed reboot.
-const STREAMED_WORKING_SET: f64 = 0.15;
 /// Dirty fraction an incremental reboot writes at save time.
 const INCREMENTAL_DIRTY: f64 = 0.3;
 
@@ -123,7 +121,7 @@ impl DowntimeTable {
                     RebootStrategy::Warm => m.d_warm(f64::from(n)),
                     RebootStrategy::Cold => m.d_cold(f64::from(n), COLD_ALPHA),
                     RebootStrategy::Saved => d.saved_downtime(n),
-                    RebootStrategy::Streamed => d.streamed_downtime(n, STREAMED_WORKING_SET),
+                    RebootStrategy::Streamed => d.streamed_downtime(n, STREAM_WORKING_SET),
                     RebootStrategy::Incremental => d.incremental_downtime(n, INCREMENTAL_DIRTY),
                 };
                 SimDuration::from_secs_f64(secs.max(0.0))

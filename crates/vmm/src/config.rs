@@ -10,6 +10,11 @@ use rh_sim::time::SimDuration;
 use crate::domain::DomainSpec;
 use crate::timing::TimingParams;
 
+/// Fraction of each image read before resume under
+/// [`RebootStrategy::Streamed`] (the restored working set); the residual
+/// streams in behind the resumed guest.
+pub const STREAM_WORKING_SET: f64 = 0.15;
+
 /// The VMM rejuvenation strategies: the paper's three plus two
 /// disk-image refinements (streamed post-copy restore and incremental
 /// delta saves).
@@ -98,9 +103,6 @@ pub struct HostConfig {
     /// Model OS-level aging inside guests (kernel-memory/swap wear that
     /// slows request service until an OS reboot).
     pub guest_aging: bool,
-    /// Fraction of each image read before resume under
-    /// [`RebootStrategy::Streamed`] (the restored working set).
-    pub stream_working_set: f64,
     /// Probability that a request touches only the restored working set
     /// while a domain is still streaming; the complement of each
     /// request's bytes is faulted in through the disk.
@@ -123,7 +125,6 @@ impl HostConfig {
             trace: true,
             probes: false,
             guest_aging: false,
-            stream_working_set: 0.15,
             stream_locality: 0.9,
             snapshot_interval: None,
         }
@@ -172,19 +173,6 @@ impl HostConfig {
     /// Enables or disables guest OS aging.
     pub fn with_guest_aging(mut self, on: bool) -> Self {
         self.guest_aging = on;
-        self
-    }
-
-    /// Overrides the timing parameters.
-    pub fn with_timing(mut self, timing: TimingParams) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Overrides the streamed-restore working-set fraction (clamped to
-    /// `(0, 1]`; a full working set makes Streamed behave like Saved).
-    pub fn with_stream_working_set(mut self, fraction: f64) -> Self {
-        self.stream_working_set = fraction.clamp(f64::MIN_POSITIVE, 1.0);
         self
     }
 
@@ -269,15 +257,12 @@ mod tests {
     #[test]
     fn streaming_knob_defaults_and_clamps() {
         let c = HostConfig::paper_testbed();
-        assert!((c.stream_working_set - 0.15).abs() < 1e-12);
         assert!((c.stream_locality - 0.9).abs() < 1e-12);
         assert_eq!(c.snapshot_interval, None);
 
         let c = c
-            .with_stream_working_set(7.0)
             .with_stream_locality(-0.5)
             .with_snapshot_interval(Some(SimDuration::from_secs(120)));
-        assert!((c.stream_working_set - 1.0).abs() < 1e-12);
         assert_eq!(c.stream_locality, 0.0);
         assert_eq!(c.snapshot_interval, Some(SimDuration::from_secs(120)));
     }

@@ -28,8 +28,6 @@ pub enum InjectPoint {
     Dom0Boot,
     /// A domain's on-memory resume is about to start.
     ResumeStart,
-    /// A hypercall is being dispatched.
-    Hypercall,
 }
 
 impl fmt::Display for InjectPoint {
@@ -40,7 +38,6 @@ impl fmt::Display for InjectPoint {
             InjectPoint::QuickReload => "quick-reload",
             InjectPoint::Dom0Boot => "dom0-boot",
             InjectPoint::ResumeStart => "resume-start",
-            InjectPoint::Hypercall => "hypercall",
         };
         f.write_str(name)
     }

@@ -672,34 +672,33 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_under_pressure_squeezes_in_order_and_skips_frozen_images() {
+    fn balloon_refuses_a_frozen_image_and_a_reboot_in_flight() {
         use crate::domain::ExecState;
         let mut sim = booted_host(3, ServiceKind::Ssh);
         let ids = sim.host().domu_ids();
-        let spec = sim.host().domain(ids[0]).unwrap().p2m.total_pages();
-        let floor = spec / 2;
-        // Freeze the first candidate as a warm reboot would (exec state
-        // held, image pinned): reclaim must skip it entirely (I8).
+        let pages = |sim: &HostSim, id| sim.host().domain(id).unwrap().p2m.total_pages();
+        let spec = pages(&sim, ids[0]);
+        // Freeze an image as a warm reboot would (exec state held): its
+        // frames must stay where the preserved P2M table says (I8).
         sim.host_mut().domain_mut(ids[0]).unwrap().exec_state = Some(ExecState::capture(0, 4096));
-        let freed = sim.host_mut().reclaim_under_pressure(spec, floor);
-        assert_eq!(freed, spec, "two thawed domains cover the request");
-        assert_eq!(
-            sim.host().domain(ids[0]).unwrap().p2m.total_pages(),
-            spec,
-            "frozen image must not shrink"
-        );
-        assert_eq!(sim.host().domain(ids[1]).unwrap().p2m.total_pages(), floor);
-        assert_eq!(sim.host().domain(ids[2]).unwrap().p2m.total_pages(), floor);
-        assert_eq!(sim.host().stats.counter("balloon.reclaimed"), spec);
-        // Everyone thawed is at the floor now — nothing left to give.
-        assert_eq!(sim.host_mut().reclaim_under_pressure(1, floor), 0);
-        // Thaw the frozen domain: it becomes the only candidate.
+        assert!(sim.host_mut().balloon(ids[0], -1024).is_err());
+        assert_eq!(pages(&sim, ids[0]), spec, "frozen image must not shrink");
         sim.host_mut().domain_mut(ids[0]).unwrap().exec_state = None;
-        assert_eq!(
-            sim.host_mut().reclaim_under_pressure(u64::MAX, floor),
-            spec - floor
-        );
-        assert_eq!(sim.host().domain(ids[0]).unwrap().p2m.total_pages(), floor);
+
+        // Once a reboot is in flight, even a still-running guest is
+        // fenced: it is about to be frozen.
+        {
+            let (host, sched) = sim.sim.parts_mut();
+            host.warm_reboot(sched);
+        }
+        assert!(sim.host().domain(ids[1]).unwrap().exec_state.is_none());
+        assert!(sim.host_mut().balloon(ids[1], -1024).is_err());
+        assert_eq!(pages(&sim, ids[1]), spec);
+        let ok = sim.run_until(DEFAULT_WAIT_CAP, |h| !h.reboot_in_progress());
+        assert!(ok, "warm reboot did not complete");
+        let report = sim.host().last_report().expect("report pushed");
+        assert_eq!(report.strategy, RebootStrategy::Warm);
+        assert!(report.corrupted.is_empty(), "{report:?}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use rh_storage::disk::{Disk, IoKind};
 use rh_storage::image::{dirty_extent_bytes, DeltaChain, MemoryImage};
 use rh_storage::partition::{PartitionId, PartitionTable};
 
-use crate::config::{HostConfig, RebootStrategy, SuspendOrder};
+use crate::config::{HostConfig, RebootStrategy, SuspendOrder, STREAM_WORKING_SET};
 use crate::domain::{Domain, DomainId, ExecState};
 use crate::fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
 use crate::timing::TimingParams;
@@ -1357,16 +1357,25 @@ impl Host {
     /// out / shrink). Instantaneous in simulated time — ballooning is a
     /// background activity whose cost the paper does not model.
     ///
+    /// Every balloon call on the host enters here, behind invariant I8's
+    /// fence (proved exhaustively by `rh-lint balloon`): nothing is
+    /// ballooned while a VMM reboot is in flight, nor a domain whose
+    /// image is frozen (`exec_state` held for quick reload) — its frames
+    /// must stay exactly where the preserved P2M table says.
+    ///
     /// # Errors
     ///
-    /// Propagates VMM allocator/P2M failures; the domain is unchanged on
-    /// error.
+    /// [`VmmError::BadDomainState`] for an unknown domain, a reboot in
+    /// flight or a frozen image; otherwise propagates VMM allocator/P2M
+    /// failures. The domain is unchanged on error.
     pub fn balloon(&mut self, id: DomainId, delta_pages: i64) -> Result<(), VmmError> {
         let mut dom = self
             .domains
             .remove(&id)
             .ok_or(VmmError::BadDomainState(id, "balloon unknown domain"))?;
-        let result = if delta_pages >= 0 {
+        let result = if dom.exec_state.is_some() || self.reboot_in_progress() {
+            Err(VmmError::BadDomainState(id, "balloon a frozen image"))
+        } else if delta_pages >= 0 {
             self.vmm
                 .balloon_in(&mut dom, &mut self.contents, delta_pages as u64)
         } else {
@@ -1375,43 +1384,6 @@ impl Host {
         };
         self.domains.insert(id, dom);
         result
-    }
-
-    /// Host-side reclaim-under-pressure: balloons guest pages out of
-    /// running domains, in domain-id order, until `want` pages are freed
-    /// or every candidate is exhausted. Returns the pages actually freed
-    /// (counted in `stats` as `balloon.reclaimed`).
-    ///
-    /// Two fences keep this safe against the warm reboot (invariant I8,
-    /// proved exhaustively by `rh-lint balloon`): nothing is reclaimed
-    /// while a VMM reboot is in flight, and a domain whose image is
-    /// frozen (`exec_state` held for quick reload) is skipped — its
-    /// frames must stay exactly where the preserved P2M table says.
-    /// No domain is squeezed below `min_resident` pages.
-    pub fn reclaim_under_pressure(&mut self, want: u64, min_resident: u64) -> u64 {
-        if self.reboot_in_progress() {
-            return 0;
-        }
-        let mut freed = 0;
-        for id in self.domu_ids() {
-            if freed >= want {
-                break;
-            }
-            let spare = match self.domains.get(&id) {
-                Some(dom) if dom.exec_state.is_none() => {
-                    dom.p2m.total_pages().saturating_sub(min_resident)
-                }
-                _ => continue, // frozen image (or gone): I8's fence
-            };
-            let take = spare.min(want - freed);
-            if take > 0 && self.balloon(id, -(take as i64)).is_ok() {
-                freed += take;
-            }
-        }
-        if freed > 0 {
-            self.stats.add("balloon.reclaimed", freed);
-        }
-        freed
     }
 
     /// Pre-warms a domain's page cache with the first `files` files of its
@@ -2195,7 +2167,7 @@ impl Host {
                 let mut dom = saved.snapshot.clone();
                 let full = saved.image.size_bytes() as f64;
                 let bytes = if strategy == RebootStrategy::Streamed {
-                    (full * self.cfg.stream_working_set).max(1.0)
+                    (full * STREAM_WORKING_SET).max(1.0)
                 } else {
                     full
                 };
@@ -2268,7 +2240,7 @@ impl Host {
         // postcopy protocol checker guards the never-serve-unvalidated
         // invariant at the page level).
         if restored && self.run.as_ref().map(|r| r.strategy) == Some(RebootStrategy::Streamed) {
-            let residual = total_bytes as f64 * (1.0 - self.cfg.stream_working_set);
+            let residual = total_bytes as f64 * (1.0 - STREAM_WORKING_SET);
             if residual > 0.0 {
                 let was_streaming = !self.streaming.is_empty();
                 self.streaming.insert(id);

@@ -6,17 +6,23 @@
 //!   destruction, **on-memory suspend/resume** (freeze the image in place,
 //!   save 16 KB of execution state), **quick reload** (a kexec-style VMM
 //!   replacement that re-reserves frozen domain memory from the preserved
-//!   P2M tables before its allocator runs), and the hardware reset that
-//!   destroys everything on the cold path;
-//! * [`host`] — the event-driven host world that sequences the three
-//!   reboot strategies (warm / cold / saved) over shared disk, CPU and
-//!   network resources, measuring downtime, phase timelines and request
-//!   throughput;
+//!   P2M tables before its allocator runs), ballooning, and the hardware
+//!   reset that destroys everything on the cold path;
+//! * [`host`] — the event-driven host world that sequences the reboot
+//!   strategies (warm / cold / saved / streamed / incremental) over shared
+//!   disk, CPU and network resources, measuring downtime, phase timelines
+//!   and request throughput. It is the one way into the VMM: every
+//!   suspend, xexec stage and balloon call goes through it, and
+//!   [`Host::balloon`] refuses frozen images and reboots in flight
+//!   (invariant I8);
 //! * [`harness`] — a blocking-style driver ([`harness::HostSim`]) for
 //!   experiments;
-//! * [`domain`], [`timing`], [`config`], [`xenstored`] — domains,
-//!   calibrated constants, configuration, and the aging-prone xenstored
-//!   daemon.
+//! * [`fault`] — the [`FaultHook`] the host consults at five
+//!   [`InjectPoint`]s on its reboot and recovery pipelines;
+//! * [`domain`], [`events`], [`xexec`], [`timing`], [`config`],
+//!   [`xenstored`] — domains, the suspend event channels, the staged VMM
+//!   image, calibrated constants, configuration, and the aging-prone
+//!   xenstored daemon.
 //!
 //! ## Example: reproduce the headline result
 //!
@@ -48,7 +54,6 @@ pub mod events;
 pub mod fault;
 pub mod harness;
 pub mod host;
-pub mod hypercall;
 pub mod timing;
 pub mod vmm;
 pub mod xenstored;
@@ -60,7 +65,6 @@ pub use events::{ChannelError, ChannelKind, EventChannel, EventChannelTable};
 pub use fault::{FaultAction, FaultContext, FaultHook, InjectPoint};
 pub use harness::{booted_host, HostSim};
 pub use host::{FileReadResult, Host, HostEvent, RebootReport};
-pub use hypercall::{dispatch, dispatch_hooked, Hypercall, HypercallError, HypercallResult};
 /// Fig. 7's phase vocabulary, recorded in [`Host::metrics`].
 pub use rh_obs::{Phase, PhaseSpan};
 pub use timing::TimingParams;

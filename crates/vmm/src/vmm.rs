@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use rh_memory::contents::FrameContents;
-use rh_memory::frame::{frames_for_bytes, FrameRange, Mfn, Pfn};
+use rh_memory::frame::{FrameRange, Mfn, Pfn};
 use rh_memory::heap::VmmHeap;
 use rh_memory::machine::{MachineMemory, MemoryError};
 use rh_memory::p2m::P2mError;
@@ -196,11 +196,6 @@ impl Vmm {
     /// The xenstored daemon.
     pub fn xenstored(&self) -> &XenStored {
         &self.xenstored
-    }
-
-    /// Mutable xenstored access (for aging injection).
-    pub fn xenstored_mut(&mut self) -> &mut XenStored {
-        &mut self.xenstored
     }
 
     /// The xexec staging slot.
@@ -610,12 +605,6 @@ impl Vmm {
         logical_digest(&dom.p2m, contents)
     }
 
-    /// Total pseudo-physical pages mapped across `domains` — may exceed
-    /// machine memory under ballooning.
-    pub fn total_mapped_pages(domains: &BTreeMap<DomainId, Domain>) -> u64 {
-        domains.values().map(|d| d.p2m.total_pages()).sum()
-    }
-
     /// Checks cross-domain machine-frame disjointness — no frame may belong
     /// to two domains.
     pub fn check_domain_isolation(domains: &BTreeMap<DomainId, Domain>) -> Result<(), String> {
@@ -635,11 +624,6 @@ impl Vmm {
         }
         Ok(())
     }
-
-    /// Frames needed for a memory size in bytes — re-exported convenience.
-    pub fn frames_for(bytes: u64) -> u64 {
-        frames_for_bytes(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -647,7 +631,7 @@ mod tests {
     use super::*;
     use crate::domain::DomainSpec;
     use rh_guest::services::ServiceKind;
-    use rh_memory::frame::FRAMES_PER_GIB;
+    use rh_memory::frame::{frames_for_bytes, FRAMES_PER_GIB};
 
     fn gib(n: u64) -> u64 {
         n << 30
@@ -912,6 +896,6 @@ mod tests {
 
     #[test]
     fn frames_for_helper() {
-        assert_eq!(Vmm::frames_for(gib(1)), FRAMES_PER_GIB);
+        assert_eq!(frames_for_bytes(gib(1)), FRAMES_PER_GIB);
     }
 }

@@ -139,19 +139,11 @@ impl XexecState {
         self.loads += 1;
     }
 
-    /// Simulates memory corruption of the staged image (for tests and the
-    /// integrity ablation): flips the recorded payload without updating
-    /// the checksum.
-    pub fn corrupt_staged(&mut self) {
-        if let Some((image, _)) = self.staged.as_mut() {
-            image.initrd_digest ^= 0xDEAD;
-        }
-    }
-
-    /// Like [`corrupt_staged`](Self::corrupt_staged) with a caller-chosen
-    /// mask (fault injection draws it from a seeded stream). Returns whether
-    /// an image was staged to corrupt. A zero mask is forced to `0xDEAD`
-    /// so the call always actually flips bits.
+    /// Simulates memory corruption of the staged image (fault injection
+    /// and the integrity ablation): XORs `xor` into the recorded payload
+    /// without updating the checksum. Returns whether an image was staged
+    /// to corrupt. A zero mask is forced to `0xDEAD` so the call always
+    /// actually flips bits.
     pub fn corrupt_staged_with(&mut self, xor: u64) -> bool {
         match self.staged.as_mut() {
             Some((image, _)) => {
@@ -224,7 +216,7 @@ mod tests {
     fn corruption_is_detected_at_boot() {
         let mut x = XexecState::new();
         x.load(XexecImage::build(3));
-        x.corrupt_staged();
+        assert!(x.corrupt_staged_with(0));
         let err = x.take_for_boot().unwrap_err();
         assert!(matches!(err, XexecError::IntegrityViolation { .. }));
         assert!(err.to_string().contains("corrupted"));

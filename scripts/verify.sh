@@ -11,6 +11,53 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# run_at_jobs N CMD...: runs CMD with every literal JOBS argument
+# replaced by N.
+run_at_jobs() {
+    jobs=$1
+    shift
+    for arg do
+        shift
+        [ "$arg" = JOBS ] && arg=$jobs
+        set -- "$@" "$arg"
+    done
+    "$@"
+}
+
+# same_at_jobs NAME N CMD...: runs CMD at --jobs 1 and at --jobs N (see
+# run_at_jobs) and fails unless the two stdouts are byte-identical.
+same_at_jobs() {
+    name=$1
+    par=$2
+    shift 2
+    run_at_jobs 1 "$@" > "$smoke_dir/${name}_seq.txt"
+    run_at_jobs "$par" "$@" > "$smoke_dir/${name}_par.txt"
+    if ! cmp -s "$smoke_dir/${name}_seq.txt" "$smoke_dir/${name}_par.txt"; then
+        echo "FAIL: $name --jobs $par output differs from --jobs 1" >&2
+        diff "$smoke_dir/${name}_seq.txt" "$smoke_dir/${name}_par.txt" >&2 || true
+        exit 1
+    fi
+}
+
+# must_cite NEEDLE ARGS...: `rh-lint ARGS` must fail, and its
+# counterexample must cite NEEDLE (whose first word names the invariant).
+must_cite() {
+    needle=$1
+    inv=${needle%% *}
+    case $inv in I*) article=an ;; *) article=a ;; esac
+    shift
+    if cargo run -q --release -p rh-lint --offline -- \
+        "$@" > "$smoke_dir/cite.txt" 2>&1; then
+        echo "FAIL: $* must produce $article $inv counterexample" >&2
+        exit 1
+    fi
+    if ! grep -q "$needle" "$smoke_dir/cite.txt"; then
+        echo "FAIL: $* counterexample must cite $inv" >&2
+        cat "$smoke_dir/cite.txt" >&2
+        exit 1
+    fi
+}
+
 echo "==> cargo build --release --workspace (offline)"
 cargo build --release --workspace --offline
 
@@ -50,90 +97,23 @@ cargo run -q --release -p rh-lint --offline -- fleet
 # under crash interleavings (it is the rule the datacenter campaigns run).
 cargo run -q --release -p rh-lint --offline -- \
     fleet --driver wave --hosts 5 --max-down 2 --crashes 2
-if cargo run -q --release -p rh-lint --offline -- \
-    fleet --driver buggy-overlap > "$smoke_dir/fleet_buggy.txt" 2>&1; then
-    echo "FAIL: fleet --driver buggy-overlap must produce an I7 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I7 single-recovery" "$smoke_dir/fleet_buggy.txt"; then
-    echo "FAIL: fleet --driver buggy-overlap counterexample must cite I7" >&2
-    cat "$smoke_dir/fleet_buggy.txt" >&2
-    exit 1
-fi
+must_cite "I7 single-recovery" fleet --driver buggy-overlap
 
 echo "==> rh-lint postcopy (stream-in invariants P1/P2, DESIGN.md §15)"
 cargo run -q --release -p rh-lint --offline -- postcopy
-if cargo run -q --release -p rh-lint --offline -- \
-    postcopy --buggy > "$smoke_dir/postcopy_buggy.txt" 2>&1; then
-    echo "FAIL: postcopy --buggy must produce a P1 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "P1 validated-before-serve" "$smoke_dir/postcopy_buggy.txt"; then
-    echo "FAIL: postcopy --buggy counterexample must cite P1" >&2
-    cat "$smoke_dir/postcopy_buggy.txt" >&2
-    exit 1
-fi
+must_cite "P1 validated-before-serve" postcopy --buggy
 
 echo "==> rh-lint balloon (cell balloon invariants I8/I9, DESIGN.md §17)"
 cargo run -q --release -p rh-lint --offline -- balloon --domains 3
-if cargo run -q --release -p rh-lint --offline -- \
-    balloon --buggy > "$smoke_dir/balloon_buggy.txt" 2>&1; then
-    echo "FAIL: balloon --buggy must produce an I8 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I8 frozen-frames-fenced" "$smoke_dir/balloon_buggy.txt"; then
-    echo "FAIL: balloon --buggy counterexample must cite I8" >&2
-    cat "$smoke_dir/balloon_buggy.txt" >&2
-    exit 1
-fi
-if cargo run -q --release -p rh-lint --offline -- \
-    balloon --buggy-deflate > "$smoke_dir/balloon_deflate.txt" 2>&1; then
-    echo "FAIL: balloon --buggy-deflate must produce an I9 counterexample" >&2
-    exit 1
-fi
-if ! grep -q "I9 validated-before-map" "$smoke_dir/balloon_deflate.txt"; then
-    echo "FAIL: balloon --buggy-deflate counterexample must cite I9" >&2
-    cat "$smoke_dir/balloon_deflate.txt" >&2
-    exit 1
-fi
+must_cite "I8 frozen-frames-fenced" balloon --buggy
+must_cite "I9 validated-before-map" balloon --buggy-deflate
 
 echo "==> model-checker --jobs determinism smoke (jobs 1 vs 4)"
-cargo run -q --release -p rh-lint --offline -- \
-    protocol --domains 4 --jobs 1 > "$smoke_dir/mc_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    protocol --domains 4 --jobs 4 > "$smoke_dir/mc_par.txt"
-if ! cmp -s "$smoke_dir/mc_seq.txt" "$smoke_dir/mc_par.txt"; then
-    echo "FAIL: protocol --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/mc_seq.txt" "$smoke_dir/mc_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    fleet --jobs 1 > "$smoke_dir/fleet_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    fleet --jobs 4 > "$smoke_dir/fleet_par.txt"
-if ! cmp -s "$smoke_dir/fleet_seq.txt" "$smoke_dir/fleet_par.txt"; then
-    echo "FAIL: fleet --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/fleet_seq.txt" "$smoke_dir/fleet_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    postcopy --jobs 1 > "$smoke_dir/pc_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    postcopy --jobs 4 > "$smoke_dir/pc_par.txt"
-if ! cmp -s "$smoke_dir/pc_seq.txt" "$smoke_dir/pc_par.txt"; then
-    echo "FAIL: postcopy --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/pc_seq.txt" "$smoke_dir/pc_par.txt" >&2 || true
-    exit 1
-fi
-cargo run -q --release -p rh-lint --offline -- \
-    balloon --jobs 1 > "$smoke_dir/bl_seq.txt"
-cargo run -q --release -p rh-lint --offline -- \
-    balloon --jobs 4 > "$smoke_dir/bl_par.txt"
-if ! cmp -s "$smoke_dir/bl_seq.txt" "$smoke_dir/bl_par.txt"; then
-    echo "FAIL: balloon --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/bl_seq.txt" "$smoke_dir/bl_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs protocol 4 \
+    cargo run -q --release -p rh-lint --offline -- protocol --domains 4 --jobs JOBS
+same_at_jobs fleet 4 cargo run -q --release -p rh-lint --offline -- fleet --jobs JOBS
+same_at_jobs postcopy 4 cargo run -q --release -p rh-lint --offline -- postcopy --jobs JOBS
+same_at_jobs balloon 4 cargo run -q --release -p rh-lint --offline -- balloon --jobs JOBS
 
 echo "==> all --jobs 2 determinism smoke (reduced range, DESIGN.md §10)"
 cargo run -q --release -p rh-bench --bin all --offline -- \
@@ -180,48 +160,20 @@ if ! cmp -s "$smoke_dir/seq.txt" "$smoke_dir/notrace.txt"; then
 fi
 
 echo "==> faults --jobs 2 determinism smoke (reliability fault sweep)"
-cargo run -q --release -p rh-bench --bin faults --offline -- \
-    --jobs 2 --quick > "$smoke_dir/faults_par.txt"
-cargo run -q --release -p rh-bench --bin faults --offline -- \
-    --jobs 1 --quick > "$smoke_dir/faults_seq.txt"
-if ! cmp -s "$smoke_dir/faults_seq.txt" "$smoke_dir/faults_par.txt"; then
-    echo "FAIL: faults --jobs 2 output differs from --jobs 1" >&2
-    diff "$smoke_dir/faults_seq.txt" "$smoke_dir/faults_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs faults 2 \
+    cargo run -q --release -p rh-bench --bin faults --offline -- --jobs JOBS --quick
 
 echo "==> frontier --jobs 4 determinism smoke (strategy frontier sweep)"
-cargo run -q --release -p rh-bench --bin frontier --offline -- \
-    --quick --jobs 4 > "$smoke_dir/frontier_par.txt"
-cargo run -q --release -p rh-bench --bin frontier --offline -- \
-    --quick --jobs 1 > "$smoke_dir/frontier_seq.txt"
-if ! cmp -s "$smoke_dir/frontier_seq.txt" "$smoke_dir/frontier_par.txt"; then
-    echo "FAIL: frontier --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/frontier_seq.txt" "$smoke_dir/frontier_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs frontier 4 \
+    cargo run -q --release -p rh-bench --bin frontier --offline -- --quick --jobs JOBS
 
 echo "==> fleetbench --jobs 4 determinism smoke (datacenter fleet sweep)"
-cargo run -q --release -p rh-bench --bin fleetbench --offline -- \
-    --quick --jobs 4 > "$smoke_dir/fleet_bench_par.txt"
-cargo run -q --release -p rh-bench --bin fleetbench --offline -- \
-    --quick --jobs 1 > "$smoke_dir/fleet_bench_seq.txt"
-if ! cmp -s "$smoke_dir/fleet_bench_seq.txt" "$smoke_dir/fleet_bench_par.txt"; then
-    echo "FAIL: fleetbench --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/fleet_bench_seq.txt" "$smoke_dir/fleet_bench_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs fleetbench 4 \
+    cargo run -q --release -p rh-bench --bin fleetbench --offline -- --quick --jobs JOBS
 
 echo "==> cellbench --jobs 4 determinism smoke (serverless cell sweep)"
-cargo run -q --release -p rh-bench --bin cellbench --offline -- \
-    --quick --jobs 4 > "$smoke_dir/cell_bench_par.txt"
-cargo run -q --release -p rh-bench --bin cellbench --offline -- \
-    --quick --jobs 1 > "$smoke_dir/cell_bench_seq.txt"
-if ! cmp -s "$smoke_dir/cell_bench_seq.txt" "$smoke_dir/cell_bench_par.txt"; then
-    echo "FAIL: cellbench --jobs 4 output differs from --jobs 1" >&2
-    diff "$smoke_dir/cell_bench_seq.txt" "$smoke_dir/cell_bench_par.txt" >&2 || true
-    exit 1
-fi
+same_at_jobs cellbench 4 \
+    cargo run -q --release -p rh-bench --bin cellbench --offline -- --quick --jobs JOBS
 
 echo "==> bench gate (quick corebench vs committed BENCH_core.json)"
 # Quick profile: same workload sizes as the committed full-profile
