@@ -171,6 +171,17 @@ echo "==> fleetbench --jobs 4 determinism smoke (datacenter fleet sweep)"
 same_at_jobs fleetbench 4 \
     cargo run -q --release -p rh-bench --bin fleetbench --offline -- --quick --jobs JOBS
 
+echo "==> fleetbench full grid golden (1,000 and 5,000 hosts)"
+# The quick grid's 200 hosts never exercise placement at scale; the full
+# grid's table must match the committed golden byte for byte.
+cargo run -q --release -p rh-bench --bin fleetbench --offline -- --jobs 2 \
+    > "$smoke_dir/fleetbench_full.txt"
+if ! cmp -s crates/bench/golden/fleetbench_full.txt "$smoke_dir/fleetbench_full.txt"; then
+    echo "FAIL: fleetbench full-grid output differs from its golden" >&2
+    diff crates/bench/golden/fleetbench_full.txt "$smoke_dir/fleetbench_full.txt" >&2 || true
+    exit 1
+fi
+
 echo "==> cellbench --jobs 4 determinism smoke (serverless cell sweep)"
 same_at_jobs cellbench 4 \
     cargo run -q --release -p rh-bench --bin cellbench --offline -- --quick --jobs JOBS
