@@ -38,6 +38,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rh_fleet::config::{CampaignConfig, FleetConfig};
+use rh_fleet::placement::PlacementKind;
+use rh_fleet::sim::FleetSimulation;
 use rh_memory::contents::FrameContents;
 use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
@@ -47,6 +50,7 @@ use rh_sim::queue::FifoResource;
 use rh_sim::resource::PsResource;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
+use rh_vmm::config::RebootStrategy;
 
 /// Events per chain workload.
 const CHAIN_EVENTS: u64 = 200_000;
@@ -71,6 +75,12 @@ const DISK_BYTES_PER_SEC: f64 = 85.0e6;
 /// Hosts in the `fleet/steady` workload (~22k VM arrivals over its
 /// horizon; event count measured by an untimed run).
 const FLEET_HOSTS: u32 = 300;
+/// Fleet sizes of the `fleet/scale` rows.
+const SCALE_HOSTS: [u32; 2] = [3_000, 30_000];
+/// Hosts × simulated seconds in each `fleet/scale` row. The datacenter
+/// arrival rate grows with the fleet, so every size sees the same ~3.6k
+/// arrivals and only the host count changes between rows.
+const SCALE_HOST_SECONDS: u64 = 600_000;
 
 /// One timed benchmark: its best sample and the work done per sample.
 #[derive(Debug, Clone)]
@@ -270,6 +280,18 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         fleet_steady()
     });
 
+    // The same layer as the fleet grows tenfold, under the two policies
+    // that must consider every host: placement cost per event should not
+    // grow with the host count.
+    for placement in [PlacementKind::BestFit, PlacementKind::AntiAffinity] {
+        for hosts in SCALE_HOSTS {
+            let cfg = fleet_scale(hosts, placement);
+            let name = format!("fleet/scale/{placement}/{}k", hosts / 1000);
+            let events = fleet_run(&cfg);
+            timed(&name, events, "events", &mut || fleet_run(&cfg));
+        }
+    }
+
     // A steady-state serverless cell (function-VM arrivals on one
     // overcommitted host with balloon reclaim and a warm pool) — the
     // rh-cell layer's cost, dominated by real P2M map/unmap traffic.
@@ -280,9 +302,32 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
 /// One deterministic campaign-free fleet run; returns events fired.
 fn fleet_steady() -> u64 {
-    let cfg = rh_fleet::config::FleetConfig::datacenter(FLEET_HOSTS);
-    let report = rh_fleet::sim::FleetSimulation::new(cfg)
-        // lint:allow(unwrap-panic): FleetConfig::datacenter always validates
+    fleet_run(&FleetConfig::datacenter(FLEET_HOSTS))
+}
+
+/// A `fleet/scale` row's fleet: the datacenter preset at `hosts` under
+/// `placement`, with an in-place warm campaign from time zero and a
+/// horizon of [`SCALE_HOST_SECONDS`] / `hosts`. Aging is off: over so
+/// short a horizon it would crash almost no host, yet seeding its crash
+/// clocks costs one draw per host.
+fn fleet_scale(hosts: u32, placement: PlacementKind) -> FleetConfig {
+    let mut cfg = FleetConfig::datacenter(hosts)
+        .with_placement(placement)
+        .with_campaign(CampaignConfig::in_place(
+            RebootStrategy::Warm,
+            hosts,
+            SimTime::ZERO,
+        ));
+    cfg.horizon = SimDuration::from_secs(SCALE_HOST_SECONDS / u64::from(hosts));
+    cfg.aging = None;
+    cfg
+}
+
+/// One deterministic run of a datacenter-preset fleet; returns events
+/// fired.
+fn fleet_run(cfg: &FleetConfig) -> u64 {
+    let report = FleetSimulation::new(cfg.clone())
+        // lint:allow(unwrap-panic): every caller builds on FleetConfig::datacenter, which always validates
         .expect("datacenter config is valid")
         .run();
     report.events
@@ -460,7 +505,7 @@ pub fn gate_against(
     tolerance_pct: f64,
 ) -> GateReport {
     let mut table = format!(
-        "{:<24}  {:>14}  {:>14}  {:>8}  status\n",
+        "{:<30}  {:>14}  {:>14}  {:>8}  status\n",
         "benchmark", "baseline/s", "current/s", "delta"
     );
     let mut regressions = Vec::new();
@@ -476,13 +521,13 @@ pub fn gate_against(
                     "ok"
                 };
                 table.push_str(&format!(
-                    "{:<24}  {:>14.0}  {:>14.0}  {:>+7.1}%  {}\n",
+                    "{:<30}  {:>14.0}  {:>14.0}  {:>+7.1}%  {}\n",
                     r.name, base, cur, delta, status
                 ));
             }
             _ => {
                 table.push_str(&format!(
-                    "{:<24}  {:>14}  {:>14.0}  {:>8}  new\n",
+                    "{:<30}  {:>14}  {:>14.0}  {:>8}  new\n",
                     r.name, "-", cur, "-"
                 ));
             }
@@ -492,7 +537,7 @@ pub fn gate_against(
         if current.iter().all(|r| r.name != name) {
             let base = bench_per_sec(baseline_json, name).unwrap_or(0.0);
             table.push_str(&format!(
-                "{:<24}  {:>14.0}  {:>14}  {:>8}  missing\n",
+                "{:<30}  {:>14.0}  {:>14}  {:>8}  missing\n",
                 name, base, "-", "-"
             ));
             regressions.push(name.to_string());
@@ -605,6 +650,12 @@ mod tests {
         assert!(names.contains(&"disk/fifo_11_streams"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
+        for policy in ["best-fit", "anti-affinity"] {
+            for size in ["3k", "30k"] {
+                let row = format!("fleet/scale/{policy}/{size}");
+                assert!(names.contains(&row.as_str()), "{row}");
+            }
+        }
         for r in &results {
             assert!(r.best_ns >= 1, "{}: zero-time sample", r.name);
             assert!(r.ops > 0, "{}: no work recorded", r.name);

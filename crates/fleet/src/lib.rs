@@ -12,12 +12,15 @@
 //!
 //! The moving parts (DESIGN.md §16):
 //!
-//! * [`store::PlacementStore`] — the central VM → host map, with
-//!   reservation-based capacity so concurrent live migrations can never
-//!   oversubscribe a host;
-//! * [`placement`] — pluggable algorithms: [`placement::FirstFit`],
-//!   [`placement::BestFitBinPack`], and the rejuvenation-aware
-//!   [`placement::RejuvAntiAffinity`];
+//! * [`store::PlacementStore`] — the central VM → host map and each
+//!   host's campaign phase, with reservation-based capacity so
+//!   concurrent live migrations can never oversubscribe a host;
+//! * [`index::FreeSlotIndex`] — the store's segment tree over hosts with
+//!   a free slot, which answers every placement in O(log hosts);
+//! * [`placement`] — the three policies, [`placement::FirstFit`],
+//!   [`placement::BestFitBinPack`] and the rejuvenation-aware
+//!   [`placement::RejuvAntiAffinity`], as the linear reference scans the
+//!   index is tested against;
 //! * [`workload`] — synthetic Poisson + diurnal arrivals behind the
 //!   replayable [`workload::WorkloadReader`] trait;
 //! * [`campaign::WaveDriver`] — the wave-parallel
@@ -37,6 +40,7 @@
 pub mod campaign;
 pub mod config;
 pub mod host;
+pub mod index;
 pub mod placement;
 pub mod sim;
 pub mod store;

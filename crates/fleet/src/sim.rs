@@ -2,8 +2,10 @@
 //! [`rh_sim::engine`] event queue.
 //!
 //! One [`FleetWorld`] drives the whole datacenter: VM arrivals flow from a
-//! [`WorkloadReader`] through the active [`PlacementAlgorithm`] into the
-//! central [`PlacementStore`]; an optional rolling campaign polls the
+//! [`WorkloadReader`] into the central [`PlacementStore`], whose
+//! free-slot index picks each host under the configured
+//! [`PlacementKind`](crate::placement::PlacementKind); an optional
+//! rolling campaign polls the
 //! [`WaveDriver`] to rejuvenate hosts (in place, or evacuating them first
 //! via live migration); optional aging injects Poisson VMM crashes handled
 //! by an [`rh_faults::recovery`] policy. Per-host downtimes come from the
@@ -13,8 +15,15 @@
 //! SLA accounting integrates the fraction of placed VMs currently serving:
 //! every second that fraction sits below [`FleetConfig::sla_floor`] (after
 //! the fill-up transient) adds to [`FleetReport::sla_violation`]. Placement
-//! latency is modeled as one microsecond per host probed — a determinism-
-//! safe stand-in for a central store's lookup cost.
+//! latency is modelled as one microsecond per host the policy's reference
+//! linear scan would probe
+//! ([`Decision::modelled`](crate::placement::Decision::modelled)) — a
+//! determinism-safe stand-in for a central store's lookup cost that does
+//! not depend on how fast the index actually answers. Debug builds check
+//! every index answer against that linear scan.
+//!
+//! Every change to a host's phase or campaign completion goes through
+//! one setter, `FleetWorld::set_host`, which refreshes the store's index.
 //!
 //! Host timers are never cancelled. Each one carries the
 //! [`HostCell::epoch`] it was scheduled under and ignores itself if the
@@ -36,9 +45,9 @@ use rh_sim::time::{SimDuration, SimTime};
 use rh_vmm::config::RebootStrategy;
 
 use crate::campaign::WaveDriver;
-use crate::config::{CampaignMode, FleetConfig};
+use crate::config::{CampaignMode, FleetAging, FleetConfig};
 use crate::host::{CellStage, DowntimeTable, HostCell};
-use crate::placement::{PlacementAlgorithm, PlacementQuery};
+use crate::placement::Constraints;
 use crate::store::{PlacementStore, VmState};
 use crate::workload::{SyntheticWorkload, VmArrival, WorkloadReader};
 
@@ -91,19 +100,18 @@ pub enum FleetEvent {
 pub struct FleetWorld {
     cfg: FleetConfig,
     horizon_end: SimTime,
+    /// VM residency plus the campaign driver's projection of each cell
+    /// (evacuating hosts count as `Rebooting` so the wave stays
+    /// conservative) and its completion.
     store: PlacementStore,
     cells: Vec<HostCell>,
-    /// The campaign driver's projection of each cell (evacuating hosts
-    /// count as `Rebooting` so the wave stays conservative).
-    phases: Vec<HostPhase>,
-    completed: Vec<bool>,
-    placement: Box<dyn PlacementAlgorithm>,
     driver: WaveDriver,
     workload: Box<dyn WorkloadReader>,
     next_arrival: Option<VmArrival>,
     crash_rng: SimRng,
     strategy_table: DowntimeTable,
-    recovery_table: Option<DowntimeTable>,
+    /// Aging crashes and the recovery downtimes they cost, if enabled.
+    aging: Option<(FleetAging, DowntimeTable)>,
     migration: MigrationModel,
     // Capacity / SLA accounting.
     down_vms: i64,
@@ -188,20 +196,34 @@ impl FleetWorld {
         )
     }
 
-    /// Asks the placement algorithm for a host, recording the modeled
-    /// lookup latency.
+    /// Moves `host` to `phase`, marking it completed when `rejuvenated`:
+    /// the one place a host's phase or completion changes, so the store's
+    /// free-slot index is refreshed with it.
+    fn set_host(&mut self, host: u32, phase: HostPhase, rejuvenated: bool) {
+        let was_done = self.store.completed()[host as usize];
+        if rejuvenated && !was_done {
+            self.completed_count += 1;
+        }
+        self.store.set_host(host, phase, was_done || rejuvenated);
+    }
+
+    /// Asks the store's free-slot index for a host, recording the
+    /// modelled lookup latency. Debug builds check the answer against
+    /// the policy's linear reference scan.
     fn choose(&mut self, peer_host: Option<u32>) -> Option<u32> {
-        let q = PlacementQuery {
-            used: self.store.used(),
-            capacity: self.store.capacity(),
-            phases: &self.phases,
-            completed: &self.completed,
+        let c = Constraints {
             cursor: self.cursor,
             window: self.window(),
             peer_host,
             pair_spacing: self.pair_spacing(),
         };
-        let decision = self.placement.choose(&q);
+        let kind = self.cfg.placement;
+        let decision = self.store.choose(kind, &c);
+        debug_assert_eq!(
+            decision,
+            kind.build().choose(&self.store.query(&c)),
+            "the free-slot index disagrees with the linear {kind} scan"
+        );
         self.placement_latency
             .record(SimDuration::from_micros(u64::from(decision.scanned)));
         decision.host
@@ -247,7 +269,7 @@ impl FleetWorld {
 
     /// Arms the next aging crash for `host` under its current epoch.
     fn arm_crash(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
-        let Some(aging) = self.cfg.aging else { return };
+        let Some((aging, _)) = self.aging else { return };
         let dt = self.crash_rng.exponential(aging.mtbf.as_secs_f64());
         let at = sched.now() + SimDuration::from_secs_f64(dt);
         if at <= self.horizon_end {
@@ -265,7 +287,7 @@ impl FleetWorld {
         cell.stage = CellStage::Rebooting;
         cell.epoch += 1;
         let epoch = cell.epoch;
-        self.phases[host as usize] = HostPhase::Rebooting;
+        self.set_host(host, HostPhase::Rebooting, false);
         let dt = self.strategy_table.get(n);
         self.reboots += 1;
         self.reboot_downtime.record(dt);
@@ -274,16 +296,14 @@ impl FleetWorld {
 
     /// Starts draining `host` via live migration ahead of its reboot.
     fn begin_evac(&mut self, sched: &mut Scheduler<FleetEvent>, host: u32) {
-        {
-            let cell = &mut self.cells[host as usize];
-            debug_assert_eq!(cell.stage, CellStage::Serving);
-            cell.stage = CellStage::Evacuating;
-            cell.epoch += 1;
-            // Conservative projection: the wave budgets the host as down
-            // for its whole drain even though it still serves.
-            self.phases[host as usize] = HostPhase::Rebooting;
-        }
-        let epoch = self.cells[host as usize].epoch;
+        let cell = &mut self.cells[host as usize];
+        debug_assert_eq!(cell.stage, CellStage::Serving);
+        cell.stage = CellStage::Evacuating;
+        cell.epoch += 1;
+        let epoch = cell.epoch;
+        // Conservative projection: the wave budgets the host as down for
+        // its whole drain even though it still serves.
+        self.set_host(host, HostPhase::Rebooting, false);
         let vms = self.store.vms_on(host).to_vec();
         let mut cum = SimDuration::ZERO;
         let mut pending = 0u32;
@@ -327,13 +347,12 @@ impl FleetWorld {
             self.campaign_finished = Some(sched.now());
             return;
         }
-        while (self.cursor as usize) < self.completed.len() && self.completed[self.cursor as usize]
-        {
+        let completed = self.store.completed();
+        while (self.cursor as usize) < completed.len() && completed[self.cursor as usize] {
             self.cursor += 1;
         }
-        let starts =
-            self.driver
-                .eligible_starts(&FleetView::new(&self.phases, &self.completed, c.max_down));
+        let view = FleetView::new(self.store.phases(), completed, c.max_down);
+        let starts = self.driver.eligible_starts(&view);
         for h in starts {
             match c.mode {
                 CampaignMode::InPlace => self.begin_reboot(sched, h),
@@ -342,12 +361,14 @@ impl FleetWorld {
         }
     }
 
-    fn finish_host(&mut self, host: u32) {
+    /// Returns `host` to service; `rejuvenated` marks its campaign
+    /// reboot complete.
+    fn finish_host(&mut self, host: u32, rejuvenated: bool) {
         self.down_vms -= i64::from(self.store.resident(host));
         let cell = &mut self.cells[host as usize];
         cell.stage = CellStage::Serving;
         cell.epoch += 1;
-        self.phases[host as usize] = HostPhase::Serving;
+        self.set_host(host, HostPhase::Serving, rejuvenated);
     }
 
     /// Final accounting, consumed by [`FleetSimulation::run`]. The
@@ -450,23 +471,20 @@ impl World for FleetWorld {
                 if cell.epoch != epoch || cell.stage != CellStage::Serving {
                     return; // stale: the host moved on since this was armed
                 }
-                self.count_pair_losses(host);
+                // Crashes are armed only when aging is configured.
+                let Some((aging, table)) = &self.aging else {
+                    return;
+                };
                 let n = self.store.resident(host);
+                let dt = aging.recovery.watchdog + table.get(n);
+                self.count_pair_losses(host);
                 self.down_vms += i64::from(n);
                 let cell = &mut self.cells[host as usize];
                 cell.stage = CellStage::Recovering;
                 cell.epoch += 1;
                 let epoch = cell.epoch;
-                self.phases[host as usize] = HostPhase::Recovering;
+                self.set_host(host, HostPhase::Recovering, false);
                 self.crashes += 1;
-                // lint:allow(unwrap-panic): arm_crash only fires when cfg.aging is Some
-                let aging = self.cfg.aging.expect("crash without an aging config");
-                let table = self
-                    .recovery_table
-                    .as_ref()
-                    // lint:allow(unwrap-panic): with_workload builds recovery_table whenever aging is Some
-                    .expect("crash without a recovery table");
-                let dt = aging.recovery.watchdog + table.get(n);
                 self.recovery_time.record(dt);
                 sched.schedule_in(dt, FleetEvent::RecoverDone { host, epoch });
             }
@@ -475,7 +493,7 @@ impl World for FleetWorld {
                     return;
                 }
                 debug_assert_eq!(self.cells[host as usize].stage, CellStage::Recovering);
-                self.finish_host(host);
+                self.finish_host(host, false);
                 self.arm_crash(sched, host);
                 self.poll_campaign(sched); // a freed down-slot may unblock the wave
             }
@@ -484,11 +502,7 @@ impl World for FleetWorld {
                     return;
                 }
                 debug_assert_eq!(self.cells[host as usize].stage, CellStage::Rebooting);
-                self.finish_host(host);
-                if !self.completed[host as usize] {
-                    self.completed[host as usize] = true;
-                    self.completed_count += 1;
-                }
+                self.finish_host(host, true);
                 self.arm_crash(sched, host);
                 self.poll_campaign(sched);
             }
@@ -600,28 +614,26 @@ impl FleetSimulation {
             cfg.vm_mem_bytes,
             cfg.host_ram_gib,
         );
-        let recovery_table = cfg.aging.map(|a| {
-            DowntimeTable::for_recovery(
+        let aging = cfg.aging.map(|a| {
+            let table = DowntimeTable::for_recovery(
                 a.recovery.policy,
                 cfg.slots_per_host,
                 cfg.vm_mem_bytes,
                 cfg.host_ram_gib,
-            )
+            );
+            (a, table)
         });
         let next_arrival = workload.next_arrival();
         let world = FleetWorld {
             horizon_end: SimTime::ZERO + cfg.horizon,
             store: PlacementStore::new(cfg.hosts, cfg.slots_per_host),
             cells: vec![HostCell::new(); hosts],
-            phases: vec![HostPhase::Serving; hosts],
-            completed: vec![false; hosts],
-            placement: cfg.placement.build(),
             driver: WaveDriver,
             workload,
             next_arrival,
             crash_rng: rng.fork(2),
             strategy_table,
-            recovery_table,
+            aging,
             migration: MigrationModel::paper(),
             down_vms: 0,
             last_touch: SimTime::ZERO,
@@ -653,7 +665,7 @@ impl FleetSimulation {
             if let Some(a) = w.next_arrival {
                 seeds.push((a.at, FleetEvent::Arrive));
             }
-            if let Some(aging) = w.cfg.aging {
+            if let Some((aging, _)) = w.aging {
                 for host in 0..w.cfg.hosts {
                     let dt = w.crash_rng.exponential(aging.mtbf.as_secs_f64());
                     let at = SimTime::ZERO + SimDuration::from_secs_f64(dt);

@@ -1,15 +1,31 @@
-//! The central placement store: which VM lives on which host.
+//! The central placement store: which VM lives on which host, and which
+//! hosts can take one.
 //!
 //! One [`PlacementStore`] is the fleet's single source of truth for VM
-//! residency. It is deliberately plain `Vec` state — no hash maps, no
-//! interior mutability — so iteration order (and therefore every consumer
-//! of it) is deterministic, and the hot-path operations are O(1) except
-//! the per-host VM list edits, which are O(VMs-on-host).
+//! residency and for each host's campaign phase and completion. It is
+//! deliberately plain `Vec` state — no hash maps, no interior mutability
+//! — so iteration order (and therefore every consumer of it) is
+//! deterministic. The hot-path operations cost O(log hosts) for the
+//! [`FreeSlotIndex`] refresh plus O(VMs-on-host) for the per-host VM list
+//! edits.
+//!
+//! The store owns the index and refreshes a host's leaf inside every
+//! operation that changes the host's used slots, phase or completion
+//! ([`insert`](PlacementStore::insert), [`remove`](PlacementStore::remove),
+//! [`begin_migration`](PlacementStore::begin_migration),
+//! [`finish_migration`](PlacementStore::finish_migration) and
+//! [`set_host`](PlacementStore::set_host)), so no caller can leave it
+//! stale. [`choose`](PlacementStore::choose) answers a placement from it.
 //!
 //! Capacity is reservation-based: a migrating VM holds a slot on **both**
 //! its source (where it still resides) and its target (where it will
 //! land), so concurrent evacuations can never oversubscribe a host — the
 //! invariant the placement property tests pin down.
+
+use rh_cluster::driver::HostPhase;
+
+use crate::index::FreeSlotIndex;
+use crate::placement::{Constraints, Decision, PlacementKind, PlacementQuery};
 
 /// Where a VM is, from the store's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +62,12 @@ pub struct PlacementStore {
     resident: Vec<u32>,
     /// Resident VM ids per host (evacuation lists, pair audits).
     on_host: Vec<Vec<u32>>,
+    /// Campaign-visible host phases; only `Serving` hosts accept VMs.
+    phases: Vec<HostPhase>,
+    /// Per-host campaign completion.
+    completed: Vec<bool>,
+    /// Serving hosts with a free slot, by `used` and completion.
+    index: FreeSlotIndex,
     vms: Vec<VmEntry>,
     live: u32,
     peak_live: u32,
@@ -53,13 +75,17 @@ pub struct PlacementStore {
 }
 
 impl PlacementStore {
-    /// An empty store for `hosts` hosts of `capacity` slots each.
+    /// An empty store for `hosts` serving, not yet rejuvenated hosts of
+    /// `capacity` slots each.
     pub fn new(hosts: u32, capacity: u32) -> Self {
         PlacementStore {
             capacity,
             used: vec![0; hosts as usize],
             resident: vec![0; hosts as usize],
             on_host: vec![Vec::new(); hosts as usize],
+            phases: vec![HostPhase::Serving; hosts as usize],
+            completed: vec![false; hosts as usize],
+            index: FreeSlotIndex::new(hosts, |_| (capacity > 0).then_some((0, false))),
             vms: Vec::new(),
             live: 0,
             peak_live: 0,
@@ -75,6 +101,59 @@ impl PlacementStore {
     /// Slots consumed per host (including migration reservations).
     pub fn used(&self) -> &[u32] {
         &self.used
+    }
+
+    /// Campaign-visible host phases.
+    pub fn phases(&self) -> &[HostPhase] {
+        &self.phases
+    }
+
+    /// Per-host campaign completion.
+    pub fn completed(&self) -> &[bool] {
+        &self.completed
+    }
+
+    /// Sets `host`'s campaign phase and completion: the one place either
+    /// changes.
+    pub fn set_host(&mut self, host: u32, phase: HostPhase, completed: bool) {
+        self.phases[host as usize] = phase;
+        self.completed[host as usize] = completed;
+        self.refresh(host);
+    }
+
+    /// The host `kind` picks under `c`, answered by the free-slot index
+    /// in O(log hosts).
+    pub fn choose(&self, kind: PlacementKind, c: &Constraints) -> Decision {
+        self.index.choose(kind, c)
+    }
+
+    /// The same placement question as [`choose`](Self::choose), as the
+    /// query the linear reference scans read.
+    pub fn query(&self, c: &Constraints) -> PlacementQuery<'_> {
+        PlacementQuery {
+            used: &self.used,
+            capacity: self.capacity,
+            phases: &self.phases,
+            completed: &self.completed,
+            cursor: c.cursor,
+            window: c.window,
+            peer_host: c.peer_host,
+            pair_spacing: c.pair_spacing,
+        }
+    }
+
+    /// Recomputes `host`'s index leaf from its slots, phase and completion.
+    fn refresh(&mut self, host: u32) {
+        let h = host as usize;
+        let fits = self.phases[h] == HostPhase::Serving && self.used[h] < self.capacity;
+        self.index
+            .set(host, fits.then_some((self.used[h], self.completed[h])));
+    }
+
+    /// Frees one slot on `host`.
+    fn release(&mut self, host: u32) {
+        self.used[host as usize] -= 1;
+        self.refresh(host);
     }
 
     /// VMs physically resident on `host`.
@@ -132,6 +211,7 @@ impl PlacementStore {
             self.capacity
         );
         self.max_used = self.max_used.max(*u);
+        self.refresh(host);
     }
 
     /// Places a new VM on `host`, returning its id.
@@ -180,12 +260,12 @@ impl PlacementStore {
         let entry = self.vms[vm as usize];
         match entry.state {
             VmState::Placed { host } => {
-                self.used[host as usize] -= 1;
+                self.release(host);
                 self.drop_resident(host, vm);
             }
             VmState::Migrating { from, to } => {
-                self.used[from as usize] -= 1;
-                self.used[to as usize] -= 1;
+                self.release(from);
+                self.release(to);
                 self.drop_resident(from, vm);
             }
             // lint:allow(unwrap-panic): documented contract (`# Panics`); double-remove is a caller bug
@@ -227,7 +307,7 @@ impl PlacementStore {
             // lint:allow(unwrap-panic): documented contract (`# Panics`); only migration completions land here
             panic!("VM {vm} is not migrating");
         };
-        self.used[from as usize] -= 1;
+        self.release(from);
         self.drop_resident(from, vm);
         self.resident[to as usize] += 1;
         self.on_host[to as usize].push(vm);

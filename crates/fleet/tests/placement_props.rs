@@ -1,14 +1,179 @@
-//! Placement property tests (ISSUE satellite): capacity is never
-//! exceeded, anti-affinity never lets a campaign wave take down both
-//! halves of a replica pair, and fleet runs are deterministic.
+//! Placement property tests: the free-slot index picks exactly what the
+//! linear reference scans pick, capacity is never exceeded, anti-affinity
+//! never lets a campaign wave take down both halves of a replica pair,
+//! and fleet runs are deterministic.
 
+use rh_cluster::driver::HostPhase;
 use rh_fleet::config::{CampaignConfig, CampaignMode, FleetConfig};
-use rh_fleet::placement::PlacementKind;
+use rh_fleet::placement::{Constraints, PlacementKind};
 use rh_fleet::sim::FleetSimulation;
+use rh_fleet::store::{PlacementStore, VmState};
 use rh_fleet::workload::{SyntheticWorkload, TraceWorkload};
 use rh_sim::rng::SimRng;
+use rh_sim::testkit::{check, Config, Gen};
 use rh_sim::time::SimTime;
 use rh_vmm::config::RebootStrategy;
+
+/// Every policy's index answer (host and modelled `scanned`) against its
+/// linear reference scan on the store's current state.
+fn agree(store: &PlacementStore, c: &Constraints) -> Result<(), String> {
+    for kind in PlacementKind::ALL {
+        let indexed = store.choose(kind, c);
+        let linear = kind.build().choose(&store.query(c));
+        if indexed != linear {
+            return Err(format!(
+                "{kind} under {c:?}: index {indexed:?}, linear {linear:?}\n\
+                 used {:?}\nphases {:?}\ncompleted {:?}",
+                store.used(),
+                store.phases(),
+                store.completed()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A constraint set biased toward the edges: a cursor at or past the
+/// end, a window covering the whole fleet, a peer at either edge, and a
+/// pair spacing of 0, 1 or more than the fleet.
+fn constraints(g: &mut Gen, hosts: u32) -> Constraints {
+    let pick = |g: &mut Gen, options: &[u32]| options[g.usize_in(0, options.len())];
+    let any = g.u32_in(0, hosts + 1);
+    let cursor = pick(g, &[0, any, hosts, hosts + 3, u32::MAX]);
+    let any = g.u32_in(0, hosts + 1);
+    let window = pick(g, &[0, 1, any, hosts, u32::MAX]);
+    let any = g.u32_in(0, hosts);
+    let peer_host = [None, Some(0), Some(hosts - 1), Some(any)][g.usize_in(0, 4)];
+    let any = g.u32_in(0, hosts + 1);
+    let pair_spacing = pick(g, &[0, 1, 2, any, hosts + 1]);
+    Constraints {
+        cursor,
+        window,
+        peer_host,
+        pair_spacing,
+    }
+}
+
+/// Random store and phase updates keep the free-slot index in step with
+/// the linear scans for all three policies.
+#[test]
+fn free_slot_index_matches_the_linear_scans() {
+    check(
+        "free_slot_index_matches_the_linear_scans",
+        &Config::default(),
+        |g| {
+            let hosts = g.u32_in(1, 40);
+            let capacity = g.u32_in(1, 5);
+            let mut store = PlacementStore::new(hosts, capacity);
+            let mut vms: Vec<u32> = Vec::new();
+            let steps = g.usize_in(1, 300);
+            for _ in 0..steps {
+                let free: Vec<u32> = (0..hosts)
+                    .filter(|&h| store.used()[h as usize] < capacity)
+                    .collect();
+                match g.usize_in(0, 6) {
+                    0 | 1 if !free.is_empty() => {
+                        vms.push(store.insert(free[g.usize_in(0, free.len())]));
+                    }
+                    2 if !vms.is_empty() => {
+                        let vm = vms.swap_remove(g.usize_in(0, vms.len()));
+                        store.remove(vm);
+                    }
+                    3 if !vms.is_empty() => {
+                        let vm = vms[g.usize_in(0, vms.len())];
+                        match store.state(vm) {
+                            VmState::Migrating { .. } => store.finish_migration(vm),
+                            VmState::Placed { host } => {
+                                let targets: Vec<u32> =
+                                    free.iter().copied().filter(|&h| h != host).collect();
+                                if !targets.is_empty() {
+                                    store
+                                        .begin_migration(vm, targets[g.usize_in(0, targets.len())]);
+                                }
+                            }
+                            VmState::Gone => return Err(format!("live VM {vm} is gone")),
+                        }
+                    }
+                    _ => {
+                        let host = g.u32_in(0, hosts);
+                        let phase = [
+                            HostPhase::Serving,
+                            HostPhase::Serving,
+                            HostPhase::Rebooting,
+                            HostPhase::Recovering,
+                        ][g.usize_in(0, 4)];
+                        store.set_host(host, phase, g.any_bool());
+                    }
+                }
+                for _ in 0..4 {
+                    let c = constraints(g, hosts);
+                    agree(&store, &c)?;
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The edges named one by one, on a fixed fleet: nothing fits, a window
+/// over the whole fleet forces the fallback, a peer at either edge, and
+/// a cursor at or past the end.
+#[test]
+fn free_slot_index_matches_the_linear_scans_at_the_edges() {
+    let hosts = 8;
+    let mut store = PlacementStore::new(hosts, 2);
+    for h in [0, 0, 1, 3, 3, 5, 6, 7, 7] {
+        store.insert(h);
+    }
+    store.set_host(2, HostPhase::Rebooting, false);
+    store.set_host(6, HostPhase::Serving, true);
+    let base = Constraints {
+        cursor: 0,
+        window: 0,
+        peer_host: None,
+        pair_spacing: 1,
+    };
+    let whole = Constraints {
+        window: hosts,
+        ..base
+    };
+    let d = store.choose(PlacementKind::AntiAffinity, &whole);
+    assert_eq!(
+        (d.host, d.scanned),
+        (Some(6), hosts),
+        "the completed host stays eligible inside the window"
+    );
+    for cursor in [0, 4, hosts - 1, hosts, hosts + 1, u32::MAX] {
+        for window in [0, 1, 3, hosts, u32::MAX] {
+            for peer_host in [None, Some(0), Some(hosts - 1), Some(4)] {
+                for pair_spacing in [0, 1, 3, hosts + 1] {
+                    let c = Constraints {
+                        cursor,
+                        window,
+                        peer_host,
+                        pair_spacing,
+                    };
+                    agree(&store, &c).unwrap();
+                }
+            }
+        }
+    }
+    // With the completed host rebooting too, the whole-fleet window
+    // leaves nothing but the fallback.
+    store.set_host(6, HostPhase::Rebooting, true);
+    let d = store.choose(PlacementKind::AntiAffinity, &whole);
+    assert_eq!((d.host, d.scanned), (Some(4), 2 * hosts), "fallback pass");
+    agree(&store, &whole).unwrap();
+    // Nothing fits anywhere.
+    for h in 0..hosts {
+        store.set_host(h, HostPhase::Recovering, false);
+    }
+    for kind in PlacementKind::ALL {
+        assert_eq!(store.choose(kind, &whole).host, None, "{kind}");
+    }
+    agree(&store, &whole).unwrap();
+    agree(&store, &base).unwrap();
+}
 
 fn campaigned(hosts: u32, seed: u64, placement: PlacementKind, mode: CampaignMode) -> FleetConfig {
     let mut cfg = FleetConfig::datacenter(hosts).with_placement(placement);
