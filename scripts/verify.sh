@@ -138,6 +138,17 @@ for json in par seq; do
     fi
 done
 
+echo "==> all --jobs 1 full reproduction golden"
+# The reduced smoke above only compares the code against itself; the
+# full paper reproduction must match the committed golden byte for byte.
+cargo run -q --release -p rh-bench --bin all --offline -- --jobs 1 \
+    > "$smoke_dir/all_full.txt"
+if ! cmp -s crates/bench/golden/all_full.txt "$smoke_dir/all_full.txt"; then
+    echo "FAIL: all --jobs 1 output differs from its golden" >&2
+    diff crates/bench/golden/all_full.txt "$smoke_dir/all_full.txt" >&2 || true
+    exit 1
+fi
+
 echo "==> observability gate (typed trace determinism + zero overhead)"
 # The typed event stream must be byte-identical at any worker count.
 if ! cmp -s "$smoke_dir/seq.jsonl" "$smoke_dir/par.jsonl"; then
