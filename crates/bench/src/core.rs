@@ -8,8 +8,8 @@
 //! * `events_per_sec` / `ns_per_event` — self-scheduling event chain
 //!   through the engine (binary-heap queue, slab slots);
 //! * `digest_frames_per_sec` — full `logical_digest` rehash throughput;
-//! * `digest_early_out_ops_per_sec` — the epoch-stamp check that lets the
-//!   warm path skip the rehash entirely;
+//! * `digest_early_out_ops_per_sec` — the dirty-log check an incremental
+//!   save makes per extent to skip clean memory;
 //! * `peak_rss_bytes` — VmHWM of the benchmark process (context, not
 //!   gated).
 //!
@@ -41,6 +41,7 @@ use std::time::Instant;
 use rh_fleet::config::{CampaignConfig, FleetConfig};
 use rh_fleet::placement::PlacementKind;
 use rh_fleet::sim::FleetSimulation;
+use rh_guest::services::ServiceKind;
 use rh_memory::contents::FrameContents;
 use rh_memory::frame::Pfn;
 use rh_memory::machine::MachineMemory;
@@ -50,7 +51,8 @@ use rh_sim::queue::FifoResource;
 use rh_sim::resource::PsResource;
 use rh_sim::time::{SimDuration, SimTime};
 use rh_storage::image::logical_digest;
-use rh_vmm::config::RebootStrategy;
+use rh_vmm::config::{HostConfig, RebootStrategy};
+use rh_vmm::harness::HostSim;
 
 /// Events per chain workload.
 const CHAIN_EVENTS: u64 = 200_000;
@@ -72,6 +74,8 @@ const DISK_REPS: u64 = 2_500;
 const GIB: f64 = (1u64 << 30) as f64;
 /// The paper testbed's disk bandwidth.
 const DISK_BYTES_PER_SEC: f64 = 85.0e6;
+/// Guests in the `host/paper_round` row (the paper's Fig. 6 testbed).
+const PAPER_VMS: u32 = 11;
 /// Hosts in the `fleet/steady` workload (~22k VM arrivals over its
 /// horizon; event count measured by an untimed run).
 const FLEET_HOSTS: u32 = 300;
@@ -272,6 +276,19 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
         hits
     });
 
+    // The paper's headline (Fig. 6 at 11 VMs): a warm, a saved and a cold
+    // reboot of one booted host with 11 x 1 GiB guests, tracing off. The
+    // host time is almost all digest work in the rh-vmm reboot pipeline.
+    let mut host = HostSim::new(
+        HostConfig::paper_testbed()
+            .with_vms(PAPER_VMS, ServiceKind::Ssh)
+            .with_trace(false),
+    );
+    host.power_on_and_wait();
+    timed("host/paper_round", 1, "rounds", &mut || {
+        paper_round(&mut host)
+    });
+
     // A steady-state fleet workload (arrivals, placements, departures,
     // aging crashes across FLEET_HOSTS cells) — the rh-fleet layer's
     // cost on top of the engine. One untimed run counts the events.
@@ -298,6 +315,20 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
     let cell_events = cell_steady();
     timed("cell/steady", cell_events, "events", &mut || cell_steady());
     results
+}
+
+/// One warm, one saved and one cold reboot of `sim`, in that order;
+/// returns the events fired.
+fn paper_round(sim: &mut HostSim) -> u64 {
+    let before = sim.simulation_mut().scheduler().fired();
+    for strategy in [
+        RebootStrategy::Warm,
+        RebootStrategy::Saved,
+        RebootStrategy::Cold,
+    ] {
+        black_box(sim.reboot_and_wait(strategy));
+    }
+    sim.simulation_mut().scheduler().fired() - before
 }
 
 /// One deterministic campaign-free fleet run; returns events fired.
@@ -650,6 +681,7 @@ mod tests {
         assert!(names.contains(&"disk/fifo_11_streams"));
         assert!(names.contains(&"digest/full_rehash"));
         assert!(names.contains(&"digest/early_out"));
+        assert!(names.contains(&"host/paper_round"));
         for policy in ["best-fit", "anti-affinity"] {
             for size in ["3k", "30k"] {
                 let row = format!("fleet/scale/{policy}/{size}");

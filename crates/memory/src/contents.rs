@@ -94,9 +94,12 @@ impl FrameContents {
     /// a `false` answer means "changed, or too many mutations ago to
     /// know" — the dirty log only spans the last [`DIRTY_WINDOW`]
     /// mutations, and once it has wrapped, an epoch at the evicted edge
-    /// (exactly the oldest retained entry) also answers `false`. This is what lets the VMM's resume path skip a full
-    /// O(frames) digest recomputation when a domain's memory provably sat
-    /// untouched across a reboot (`PERFORMANCE.md` §digest maintenance).
+    /// (exactly the oldest retained entry) also answers `false`. An
+    /// incremental save uses it per extent to write only what changed
+    /// since the last snapshot (`rh_storage::image::dirty_extent_bytes`).
+    /// Digest checks do not use it: the VMM compares canonical memory
+    /// images instead, which no mutation count can overflow
+    /// (`DESIGN.md` §13).
     ///
     /// # Examples
     ///
@@ -653,8 +656,8 @@ mod tests {
 
     #[test]
     fn corrupt_always_dirties_the_frame() {
-        // The early-out must never mask fault injection: corrupt() goes
-        // through write(), so the dirty log always records the frame.
+        // An incremental save must never skip fault injection: corrupt()
+        // goes through write(), so the dirty log always records the frame.
         let mut mem = FrameContents::new();
         mem.fill_pattern(r(0, 10), 5);
         let epoch = mem.epoch();

@@ -94,9 +94,10 @@ impl P2mTable {
     /// mapping ([`map`](Self::map), [`unmap`](Self::unmap),
     /// [`unmap_top`](Self::unmap_top), [`clear`](Self::clear),
     /// [`corrupt_extent`](Self::corrupt_extent)). An unchanged epoch
-    /// guarantees an unchanged PFN→MFN function — the cheap half of the
-    /// VMM's digest early-out (see
-    /// [`FrameContents::unchanged_since`](crate::contents::FrameContents::unchanged_since)).
+    /// guarantees an unchanged PFN→MFN function; an incremental save
+    /// checks it before trusting
+    /// [`FrameContents::unchanged_since`](crate::contents::FrameContents::unchanged_since)
+    /// per extent.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

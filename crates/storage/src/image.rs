@@ -48,7 +48,16 @@ impl fmt::Display for RestoreMismatch {
 
 impl std::error::Error for RestoreMismatch {}
 
-/// A captured domain memory image, addressed by PFN.
+/// A captured domain memory image in canonical form, addressed by PFN.
+///
+/// The form is canonical: the mapped PFN space as merged extents, the
+/// pattern runs in PFN order with every pair that continues (adjacent
+/// PFNs, adjacent logical bases, same salt) merged into one, and the
+/// explicit writes in PFN order. It does not depend on how the machine
+/// frames under the domain are fragmented, so an image restored onto
+/// other frames captures equal to the one saved. Equal images hold equal
+/// `(pfn, value)` pages, so [`digest`](Self::digest) is a function of the
+/// image alone.
 ///
 /// # Examples
 ///
@@ -66,58 +75,104 @@ impl std::error::Error for RestoreMismatch {}
 ///
 /// let image = MemoryImage::capture(&p2m, &mem);
 /// let before = logical_digest(&p2m, &mem);
+/// assert_eq!(image.digest(), before);
 ///
 /// // Restore onto different machine frames.
 /// let frames2 = ram.allocate(1024)?;
 /// let mut p2m2 = P2mTable::new();
 /// p2m2.map_contiguous(Pfn(0), &frames2)?;
 /// image.restore(&p2m2, &mut mem)?;
+/// assert_eq!(MemoryImage::capture(&p2m2, &mem), image);
 /// assert_eq!(logical_digest(&p2m2, &mem), before);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryImage {
-    pages: u64,
+    /// Mapped `(pfn, count)` extents, ascending, adjacent ones merged.
+    extents: Vec<(u64, u64)>,
     runs: Vec<LogicalRun>,
     writes: Vec<(u64, u64)>,
 }
 
 impl MemoryImage {
-    /// Captures the logical contents of the domain described by `p2m`.
+    /// Captures the logical contents of the domain described by `p2m`,
+    /// in canonical form. O(extents + pattern runs + writes).
     pub fn capture(p2m: &P2mTable, contents: &FrameContents) -> MemoryImage {
-        let mut runs = Vec::new();
-        let mut writes = Vec::new();
+        let mut image = MemoryImage {
+            extents: Vec::new(),
+            runs: Vec::new(),
+            writes: Vec::new(),
+        };
+        // P2M extents iterate in PFN order and each maps its machine range
+        // in order, so runs and writes come out sorted by PFN.
         for (pfn, mrange) in p2m.iter_extents() {
+            let to_pfn = |mfn: u64| pfn.0 + (mfn - mrange.start.0);
+            match image.extents.last_mut() {
+                Some((start, count)) if *start + *count == pfn.0 => *count += mrange.count,
+                _ => image.extents.push((pfn.0, mrange.count)),
+            }
             for (sub, salt, base) in contents.pattern_runs(mrange) {
-                runs.push(LogicalRun {
-                    pfn: pfn.0 + (sub.start.0 - mrange.start.0),
+                let run = LogicalRun {
+                    pfn: to_pfn(sub.start.0),
                     count: sub.count,
                     salt,
                     base,
-                });
+                };
+                match image.runs.last_mut() {
+                    Some(last)
+                        if last.pfn + last.count == run.pfn
+                            && last.base + last.count == run.base
+                            && last.salt == run.salt =>
+                    {
+                        last.count += run.count
+                    }
+                    _ => image.runs.push(run),
+                }
             }
             for (mfn, value) in contents.explicit_in(mrange) {
-                writes.push((pfn.0 + (mfn.0 - mrange.start.0), value));
+                image.writes.push((to_pfn(mfn.0), value));
             }
         }
-        writes.sort_unstable();
-        MemoryImage {
-            pages: p2m.total_pages(),
-            runs,
-            writes,
+        image
+    }
+
+    /// The image's digest: every mapped page's `(pfn, value)` folded in
+    /// PFN order, whole runs at a time. O(pages); equal to
+    /// [`logical_digest`] of any mapping this image was captured from.
+    pub fn digest(&self) -> u64 {
+        let mut d = DigestBuilder::new();
+        let mut runs = self.runs.iter().peekable();
+        let mut writes = self.writes.as_slice();
+        for &(lo, count) in &self.extents {
+            let hi = lo + count;
+            let mut cursor = lo;
+            while let Some(run) = runs.next_if(|r| r.pfn < hi) {
+                fold_span(&mut d, &mut writes, cursor, run.pfn, None);
+                let end = run.pfn + run.count;
+                fold_span(
+                    &mut d,
+                    &mut writes,
+                    run.pfn,
+                    end,
+                    Some((run.salt, run.base)),
+                );
+                cursor = end;
+            }
+            fold_span(&mut d, &mut writes, cursor, hi, None);
         }
+        d.finish()
     }
 
     /// Pages the image describes.
     pub fn pages(&self) -> u64 {
-        self.pages
+        self.extents.iter().map(|&(_, count)| count).sum()
     }
 
     /// Bytes this image occupies on disk (the whole memory image, as Xen's
     /// unoptimized save writes it).
     pub fn size_bytes(&self) -> u64 {
-        self.pages * PAGE_SIZE
+        self.pages() * PAGE_SIZE
     }
 
     /// Writes the image's logical contents into the machine frames of the
@@ -131,9 +186,10 @@ impl MemoryImage {
         target: &P2mTable,
         contents: &mut FrameContents,
     ) -> Result<(), RestoreMismatch> {
-        if target.total_pages() != self.pages {
+        let pages = self.pages();
+        if target.total_pages() != pages {
             return Err(RestoreMismatch {
-                image_pages: self.pages,
+                image_pages: pages,
                 target_pages: target.total_pages(),
             });
         }
@@ -294,81 +350,47 @@ impl DeltaChain {
 /// when their machine frames differ — this is the invariant every reboot
 /// strategy is checked against.
 ///
-/// This is the extent-walking fast path: instead of two B-tree probes per
-/// page ([`logical_digest_paged`], the reference implementation), it merges
-/// each P2M extent's pattern runs and explicit writes in one pass and mixes
-/// whole runs via [`DigestBuilder::add_pattern_run`] /
-/// [`DigestBuilder::add_absent_run`]. The digest value is identical —
-/// `corebench digest/*` measures the difference (roughly an order of
-/// magnitude on pattern-dominated memory, see `PERFORMANCE.md`).
+/// This is [`MemoryImage::capture`] followed by [`MemoryImage::digest`]:
+/// one walk over the P2M extents, then whole pattern and scrubbed runs
+/// mixed via [`DigestBuilder::add_pattern_run`] /
+/// [`DigestBuilder::add_absent_run`] instead of two B-tree probes per page
+/// ([`logical_digest_paged`], the reference implementation). The digest
+/// value is identical — `corebench digest/*` measures the difference
+/// (roughly an order of magnitude on pattern-dominated memory, see
+/// `PERFORMANCE.md`).
 pub fn logical_digest(p2m: &P2mTable, contents: &FrameContents) -> u64 {
-    let mut d = DigestBuilder::new();
-    for (pfn, mrange) in p2m.iter_extents() {
-        let lo = mrange.start.0;
-        let hi = mrange.end().0;
-        let pfn0 = pfn.0;
-        let runs = contents.pattern_runs(mrange);
-        let mut writes = contents.explicit_in(mrange).into_iter().peekable();
-        let mut cursor = lo;
-        for (sub, salt, base) in runs {
-            if sub.start.0 > cursor {
-                digest_span(&mut d, &mut writes, pfn0, lo, cursor, sub.start.0, None);
-            }
-            digest_span(
-                &mut d,
-                &mut writes,
-                pfn0,
-                lo,
-                sub.start.0,
-                sub.end().0,
-                Some((salt, base)),
-            );
-            cursor = sub.end().0;
-        }
-        if cursor < hi {
-            digest_span(&mut d, &mut writes, pfn0, lo, cursor, hi, None);
-        }
-    }
-    d.finish()
+    MemoryImage::capture(p2m, contents).digest()
 }
 
-/// Mixes machine frames `[from, to)` of one P2M extent into `d`, splitting
-/// around explicit writes (which override any pattern). `pat` carries the
-/// covering pattern's `(salt, logical base at from)`, or `None` for a
-/// scrubbed gap. `writes` must be positioned at the first unconsumed write
-/// with `mfn >= from`.
-fn digest_span(
+/// Mixes pages `[from, to)` into `d`, splitting around explicit writes
+/// (which override any pattern). `pat` carries the covering pattern's
+/// `(salt, logical base at from)`, or `None` for a scrubbed gap. `writes`
+/// must start at the first unconsumed write with `pfn >= from`.
+fn fold_span(
     d: &mut DigestBuilder,
-    writes: &mut std::iter::Peekable<std::vec::IntoIter<(rh_memory::frame::Mfn, u64)>>,
-    pfn0: u64,
-    lo: u64,
+    writes: &mut &[(u64, u64)],
     mut from: u64,
     to: u64,
-    pat: Option<(u64, u64)>,
+    mut pat: Option<(u64, u64)>,
 ) {
-    let mut pat = pat;
     while from < to {
-        let next_write = writes
-            .peek()
-            .map(|&(m, v)| (m.0, v))
-            .filter(|&(m, _)| m < to);
-        let seg_end = next_write.map_or(to, |(m, _)| m);
-        if seg_end > from {
-            let n = seg_end - from;
-            let key0 = pfn0 + (from - lo);
+        let next = writes.split_first().filter(|(&(pfn, _), _)| pfn < to);
+        let seg_end = next.map_or(to, |(&(pfn, _), _)| pfn);
+        let n = seg_end - from;
+        if n > 0 {
             match &mut pat {
                 Some((salt, base)) => {
-                    d.add_pattern_run(key0, *salt, *base, n);
+                    d.add_pattern_run(from, *salt, *base, n);
                     *base += n;
                 }
-                None => d.add_absent_run(key0, n),
+                None => d.add_absent_run(from, n),
             }
-            from = seg_end;
         }
-        if let Some((m, v)) = next_write {
-            d.add(pfn0 + (m - lo), Some(v));
-            writes.next();
-            from = m + 1;
+        from = seg_end;
+        if let Some((&(pfn, value), rest)) = next {
+            d.add(pfn, Some(value));
+            *writes = rest;
+            from = pfn + 1;
             if let Some((_, base)) = &mut pat {
                 *base += 1;
             }
@@ -594,59 +616,103 @@ mod tests {
         assert_eq!(logical_digest(&p2m, &mem), logical_digest_paged(&p2m, &mem));
     }
 
+    /// Maps every extent of `p2m` at the same PFNs onto fresh frames cut
+    /// into chunks of at most `chunk` pages, with an allocated one-frame
+    /// hole after each chunk so no two chunks are machine-adjacent.
+    fn fragmented_copy(ram: &mut MachineMemory, p2m: &P2mTable, chunk: u64) -> P2mTable {
+        let mut copy = P2mTable::new();
+        for (pfn, mrange) in p2m.iter_extents() {
+            let mut done = 0;
+            while done < mrange.count {
+                let n = chunk.min(mrange.count - done);
+                let frames = ram.allocate(n).unwrap();
+                copy.map_contiguous(Pfn(pfn.0 + done), &frames).unwrap();
+                ram.allocate(1).unwrap();
+                done += n;
+            }
+        }
+        copy
+    }
+
     #[test]
-    fn digest_fast_path_matches_paged_reference_property() {
+    fn canonical_image_property() {
         use rh_sim::testkit::{check, Config, Gen};
 
         check(
-            "digest_fast_path_matches_paged_reference_property",
+            "canonical_image_property",
             &Config::default(),
             |g: &mut Gen| {
-                let mut ram = MachineMemory::new(1 << 14);
+                let mut ram = MachineMemory::new(1 << 15);
                 let mut mem = FrameContents::new();
                 let mut p2m = P2mTable::new();
-                // Fragmented allocation: several small grabs.
-                let mut pfn = 0u64;
-                for _ in 0..g.usize_in(1, 6) {
-                    let pages = g.u64_in(1, 500);
-                    let frames = ram
-                        .allocate(pages)
-                        .map_err(|e| format!("allocation failed: {e}"))?;
-                    p2m.map_contiguous(Pfn(pfn), &frames)
-                        .map_err(|e| format!("map failed: {e}"))?;
-                    pfn += pages;
-                }
-                let total = p2m.total_pages();
-                // Random mutation soup over the mapped frames.
-                for _ in 0..g.usize_in(0, 30) {
-                    let at = g.u64_in(0, total - 1);
-                    let len = g.u64_in(1, total - at);
-                    let Some(ranges) = p2m.resolve_range(Pfn(at), len) else {
-                        return Err("resolve_range failed on mapped span".into());
-                    };
-                    match g.u32_in(0, 3) {
-                        0 => {
-                            for r in ranges {
-                                mem.fill_pattern_with_base(r, g.any_u64(), g.u64_in(0, 1000));
-                            }
+                let mut next_pfn = 0u64;
+                for _ in 0..g.usize_in(1, 40) {
+                    let total = p2m.total_pages();
+                    // Map more memory (sometimes past a PFN hole), or mutate
+                    // a random span of what is mapped.
+                    if total == 0 || g.u32_in(0, 7) == 0 {
+                        let pages = g.u64_in(1, 400);
+                        let frames = ram
+                            .allocate(pages)
+                            .map_err(|e| format!("allocation failed: {e}"))?;
+                        for r in &frames {
+                            mem.fill_pattern(*r, g.any_u64());
                         }
-                        1 => {
-                            for r in ranges {
-                                mem.scrub(r);
-                            }
+                        next_pfn += g.u64_in(0, 2) * g.u64_in(1, 50);
+                        p2m.map_contiguous(Pfn(next_pfn), &frames)
+                            .map_err(|e| format!("map failed: {e}"))?;
+                        next_pfn += pages;
+                        continue;
+                    }
+                    // A random mapped page, and a span from it to at most the
+                    // end of its machine extent.
+                    let mut at = g.u64_in(0, total);
+                    let mut picked = None;
+                    for (_, mrange) in p2m.iter_extents() {
+                        if at < mrange.count {
+                            picked = Some((Mfn(mrange.start.0 + at), mrange.count - at));
+                            break;
                         }
+                        at -= mrange.count;
+                    }
+                    let (mfn, room) = picked.ok_or("page index past the mapping")?;
+                    let span = FrameRange::new(mfn, g.u64_in(1, room.min(64) + 1));
+                    let one = Mfn(mfn.0 + g.u64_in(0, span.count));
+                    // Few salts, and bases that often continue the
+                    // extent's page index, so neighbouring runs often
+                    // continue each other but for the salt.
+                    let base = if g.any_bool() { at } else { g.u64_in(0, 1000) };
+                    match g.u32_in(0, 5) {
+                        0 => mem.fill_pattern(span, g.any_u64()),
+                        1 => mem.fill_pattern_with_base(span, g.u64_in(0, 3), base),
+                        2 => mem.scrub(span),
+                        3 => mem.write(one, g.any_u64()),
                         _ => {
-                            let Some(mfn) = p2m.lookup(Pfn(at)) else {
-                                return Err("lookup failed on mapped pfn".into());
-                            };
-                            mem.write(mfn, g.any_u64());
+                            mem.corrupt(one, g.any_u64());
                         }
                     }
                 }
-                let fast = logical_digest(&p2m, &mem);
-                let slow = logical_digest_paged(&p2m, &mem);
-                if fast != slow {
-                    return Err(format!("digest divergence: fast={fast:#x} slow={slow:#x}"));
+                let paged = logical_digest_paged(&p2m, &mem);
+                let image = MemoryImage::capture(&p2m, &mem);
+                let fast = image.digest();
+                if fast != paged {
+                    return Err(format!(
+                        "digest divergence: fast={fast:#x} paged={paged:#x}"
+                    ));
+                }
+                // Restored onto differently fragmented frames, the same
+                // logical memory captures the equal image, whose digest the
+                // per-page reference confirms.
+                let copy = fragmented_copy(&mut ram, &p2m, g.u64_in(1, 97));
+                image
+                    .restore(&copy, &mut mem)
+                    .map_err(|e| format!("restore failed: {e}"))?;
+                let restored = MemoryImage::capture(&copy, &mem);
+                if restored != image {
+                    return Err(format!("restored image differs:\n{image:?}\n{restored:?}"));
+                }
+                if logical_digest_paged(&copy, &mem) != paged {
+                    return Err("equal captures, different paged digests".into());
                 }
                 Ok(())
             },

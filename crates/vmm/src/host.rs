@@ -144,11 +144,6 @@ struct RebootRun {
     setup_queue: VecDeque<DomainId>,
     pending_setup: BTreeSet<DomainId>,
     digests: BTreeMap<DomainId, u64>,
-    /// Epoch stamps `(contents_epoch, p2m_epoch)` taken alongside each
-    /// frozen digest. If neither epoch-window moved over the domain's
-    /// frames by resume time, the digest is unchanged by construction and
-    /// verification can skip the O(frames) rehash (PERFORMANCE.md).
-    digest_stamps: BTreeMap<DomainId, (u64, u64)>,
     /// Domains that lost their frozen image and were (or will be) rebuilt
     /// from scratch during this run.
     cold_fallbacks: BTreeSet<DomainId>,
@@ -168,7 +163,6 @@ impl RebootRun {
             setup_queue: VecDeque::new(),
             pending_setup: BTreeSet::new(),
             digests: BTreeMap::new(),
-            digest_stamps: BTreeMap::new(),
             cold_fallbacks: BTreeSet::new(),
             retries: BTreeMap::new(),
         }
@@ -289,6 +283,9 @@ pub struct Host {
     delta_chains: BTreeMap<DomainId, DeltaChain>,
     /// Delta snapshots whose disk write has not completed yet.
     pending_snapshots: BTreeMap<DomainId, PendingSnapshot>,
+    /// Each domain's last folded digest, keyed on the exact canonical
+    /// image it was folded from (see [`memo_digest`](Self::memo_digest)).
+    digest_memo: BTreeMap<DomainId, (MemoryImage, u64)>,
     meters: BTreeMap<DomainId, DowntimeMeter>,
     probes: BTreeMap<DomainId, ProbeLog>,
     httperf: Option<(DomainId, HttperfClient)>,
@@ -387,6 +384,7 @@ impl Host {
             streaming: BTreeSet::new(),
             delta_chains: BTreeMap::new(),
             pending_snapshots: BTreeMap::new(),
+            digest_memo: BTreeMap::new(),
             meters,
             probes,
             httperf: None,
@@ -705,6 +703,25 @@ impl Host {
         self.domains
             .get(&id)
             .map(|d| self.vmm.domain_digest(d, &self.contents))
+    }
+
+    /// The digest of `dom`'s memory, for the reboot path's freeze and
+    /// resume checks. Captures the canonical image in O(extents + runs +
+    /// writes) and folds it in O(frames) only when it differs from the
+    /// image the domain's memo entry was folded from (DESIGN.md §13).
+    /// Returns the image, its digest, and whether this call folded.
+    fn memo_digest(&mut self, dom: &Domain) -> (MemoryImage, u64, bool) {
+        let image = MemoryImage::capture(&dom.p2m, &self.contents);
+        if let Some((memo, digest)) = self.digest_memo.get(&dom.id) {
+            if *memo == image {
+                debug_assert_eq!(image.digest(), *digest, "stale digest memo");
+                return (image, *digest, false);
+            }
+        }
+        let digest = image.digest();
+        self.stats.inc("digest.folded");
+        self.digest_memo.insert(dom.id, (image.clone(), digest));
+        (image, digest, true)
     }
 
     /// Histogram of completed web-request latencies.
@@ -1187,10 +1204,8 @@ impl Host {
                 }
             };
             if frozen {
-                let digest = self.vmm.domain_digest(&dom, &self.contents);
+                let (_, digest, _) = self.memo_digest(&dom);
                 run.digests.insert(id, digest);
-                run.digest_stamps
-                    .insert(id, (self.contents.epoch(), dom.p2m.epoch()));
                 self.stats.inc("recovery.salvaged");
                 self.trace.emit(now, Event::Salvaged(id.into()));
             } else {
@@ -1811,12 +1826,10 @@ impl Host {
         // on_memory_suspend just succeeded, so the kernel is Suspending and
         // this transition cannot fail.
         let _ = dom.kernel.finish_suspend();
-        let digest = self.vmm.domain_digest(&dom, &self.contents);
+        let (image, digest, _) = self.memo_digest(&dom);
         self.trace.emit(sched.now(), Event::Frozen(id.into()));
         if let Some(run) = self.run.as_mut() {
             run.digests.insert(id, digest);
-            run.digest_stamps
-                .insert(id, (self.contents.epoch(), dom.p2m.epoch()));
         }
         match strategy {
             Some(RebootStrategy::Warm) => {
@@ -1842,7 +1855,6 @@ impl Host {
                 // incremental save writes only the extents dirtied since
                 // the domain's delta chain was last current (plus the
                 // exec-state record); no current chain means a full save.
-                let image = MemoryImage::capture(&dom.p2m, &self.contents);
                 let full_bytes = image.size_bytes();
                 let write_bytes = if strategy == Some(RebootStrategy::Incremental) {
                     let dirty = match self.delta_chains.get(&id) {
@@ -2416,36 +2428,19 @@ impl Host {
                 dom.kernel.crash();
             }
         }
-        self.domains.insert(id, dom);
-        // Verify preservation: digest after resume must equal the digest
-        // frozen at suspend.
+        // Verify preservation: the digest after resume must equal the
+        // digest frozen at suspend. The memo answers without a fold when
+        // the captured image is exactly the one frozen; any difference (a
+        // restore bug, a stray write) forces the fold that reports it.
         let expected = self.run.as_ref().and_then(|r| r.digests.get(&id)).copied();
-        let stamp = self
-            .run
-            .as_ref()
-            .and_then(|r| r.digest_stamps.get(&id))
-            .copied();
-        // Digest early-out: the digest is a pure function of the P2M table
-        // and the frame contents under it. If neither moved since the
-        // freeze — the P2M epoch matches and the contents dirty-window
-        // shows no write overlapping this domain's frames — the digest is
-        // equal by construction, so skip the O(frames) rehash. Any doubt
-        // (window overflow, missing stamp) falls through to the full
-        // recompute: this is an optimization, never a trust extension.
-        let actual = match (expected, stamp, self.domains.get(&id)) {
-            (Some(frozen), Some((ce, pe)), Some(dom))
-                if dom.p2m.epoch() == pe
-                    && self.contents.unchanged_since(ce, &dom.p2m.machine_ranges()) =>
-            {
-                self.stats.inc("digest.early_out");
-                Some(frozen)
-            }
-            _ => {
-                self.stats.inc("digest.full_rehash");
-                self.domain_digest(id)
-            }
-        };
-        let corrupted = matches!((expected, actual), (Some(e), Some(a)) if e != a);
+        let (_, actual, folded) = self.memo_digest(&dom);
+        self.stats.inc(if folded {
+            "digest.full_rehash"
+        } else {
+            "digest.early_out"
+        });
+        self.domains.insert(id, dom);
+        let corrupted = expected.is_some_and(|e| e != actual);
         let recovery = self.run.as_ref().map(|r| r.recovery).unwrap_or(false);
         if recovery && (failed || corrupted) {
             // Recovery invariant: a domain is never handed back corrupted.
@@ -2468,7 +2463,6 @@ impl Host {
             }
             if let Some(run) = self.run.as_mut() {
                 run.digests.remove(&id);
-                run.digest_stamps.remove(&id);
                 run.cold_fallbacks.insert(id);
                 // pending_setup keeps the id: the cold boot completes it.
             }
@@ -2485,7 +2479,6 @@ impl Host {
             } else {
                 run.digests.remove(&id);
             }
-            run.digest_stamps.remove(&id);
             run.pending_setup.remove(&id);
         }
         self.refresh(sched, id);
