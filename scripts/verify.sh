@@ -197,6 +197,17 @@ echo "==> cellbench --jobs 4 determinism smoke (serverless cell sweep)"
 same_at_jobs cellbench 4 \
     cargo run -q --release -p rh-bench --bin cellbench --offline -- --quick --jobs JOBS
 
+echo "==> cellbench full grid golden (load x overcommit x strategy)"
+# The jobs smoke above only compares the code against itself; the full
+# grid's table must match the committed golden byte for byte.
+cargo run -q --release -p rh-bench --bin cellbench --offline -- --jobs 1 \
+    > "$smoke_dir/cellbench_full.txt"
+if ! cmp -s crates/bench/golden/cellbench_full.txt "$smoke_dir/cellbench_full.txt"; then
+    echo "FAIL: cellbench full-grid output differs from its golden" >&2
+    diff crates/bench/golden/cellbench_full.txt "$smoke_dir/cellbench_full.txt" >&2 || true
+    exit 1
+fi
+
 echo "==> bench gate (quick corebench vs committed BENCH_core.json)"
 # Quick profile: same workload sizes as the committed full-profile
 # baseline, fewer samples. Fails on a silent >15% throughput loss in the
