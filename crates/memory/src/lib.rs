@@ -15,10 +15,12 @@
 //! * [`heap`] — the 16 MB VMM heap with leak (software aging) accounting,
 //! * [`layout`] — placement of the preserved metadata regions (VMM image,
 //!   P2M tables, execution-state slots),
-//! * [`balloon`] — the ballooning driver that lets pseudo-physical memory
-//!   exceed machine memory, plus the [`balloon::BalloonController`]
-//!   policy layer (resize targets, reclaim-under-pressure, bounded
-//!   deflate-on-demand) the serverless cell builds on.
+//! * [`balloon`] — the one ballooning mechanism
+//!   ([`balloon::inflate`]/[`balloon::deflate`]) that lets
+//!   pseudo-physical memory exceed machine memory, used by the VMM and by
+//!   the [`balloon::BalloonController`] policy layer
+//!   (reclaim-under-pressure, bounded deflate-on-demand) the serverless
+//!   cell builds on.
 //!
 //! ## Example: freeze, reboot, verify
 //!
@@ -73,7 +75,7 @@ pub mod layout;
 pub mod machine;
 pub mod p2m;
 
-pub use balloon::{Balloon, BalloonController, BalloonError};
+pub use balloon::{BalloonController, BalloonError};
 pub use contents::{DigestBuilder, FrameContents};
 pub use frame::{FrameRange, Mfn, Pfn, FRAMES_PER_GIB, PAGE_SIZE};
 pub use heap::{HeapExhausted, VmmHeap};

@@ -79,6 +79,8 @@ pub struct MachineMemory {
     total: u64,
     /// Free extents, keyed by start frame, coalesced and non-overlapping.
     free: BTreeMap<u64, u64>,
+    /// Sum of the free extents' lengths.
+    free_count: u64,
 }
 
 impl MachineMemory {
@@ -97,6 +99,7 @@ impl MachineMemory {
         MachineMemory {
             total: total_frames,
             free,
+            free_count: total_frames,
         }
     }
 
@@ -105,9 +108,9 @@ impl MachineMemory {
         self.total
     }
 
-    /// Frames currently free.
+    /// Frames currently free. O(1): the count is kept as extents change.
     pub fn free_frames(&self) -> u64 {
-        self.free.values().sum()
+        self.free_count
     }
 
     /// Frames currently allocated.
@@ -199,6 +202,7 @@ impl MachineMemory {
                 self.free.insert(start + take, len - take);
             }
             out.push(FrameRange::new(Mfn(start), take));
+            self.free_count -= take;
             remaining -= take;
         }
         Ok(out)
@@ -239,6 +243,7 @@ impl MachineMemory {
             if take_end < ext_end {
                 self.free.insert(take_end, ext_end - take_end);
             }
+            self.free_count -= take_end - cursor;
             cursor = take_end;
         }
         Ok(())
@@ -281,6 +286,7 @@ impl MachineMemory {
     }
 
     fn insert_free(&mut self, start: u64, count: u64) {
+        self.free_count += count;
         let mut start = start;
         let mut count = count;
         // Coalesce with predecessor.
@@ -306,6 +312,7 @@ impl MachineMemory {
     pub fn hardware_reset(&mut self) {
         self.free.clear();
         self.free.insert(0, self.total);
+        self.free_count = self.total;
     }
 
     /// Verifies internal consistency (free extents sorted, coalesced, in
@@ -328,6 +335,13 @@ impl MachineMemory {
                 }
             }
             prev_end = Some(s + c);
+        }
+        let sum: u64 = self.free.values().sum();
+        if sum != self.free_count {
+            return Err(format!(
+                "free count {} disagrees with the extents' {sum}",
+                self.free_count
+            ));
         }
         Ok(())
     }

@@ -151,8 +151,8 @@ impl<E> Scheduler<E> {
     /// fired. Cancelling an already-fired or already-cancelled event returns
     /// `None` and has no other effect.
     pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        // The queue entry stays behind as a stale key; `skim_stale` drops it
-        // when it reaches the front.
+        // The queue entry stays behind as a stale key; `pop` (or
+        // `skim_stale`) drops it when it reaches the front.
         self.slots.remove(handle.key)
     }
 
@@ -182,17 +182,19 @@ impl<E> Scheduler<E> {
 
     /// Pops the next live event, advancing the clock to its firing time.
     fn pop(&mut self) -> Option<E> {
-        self.skim_stale();
-        let Reverse(entry) = self.queue.pop()?;
-        debug_assert!(entry.time >= self.now);
-        self.now = entry.time;
-        let payload = self
-            .slots
-            .remove(SlotKey::from_parts(entry.index, entry.generation))
-            // lint:allow(unwrap-panic): skim_stale dropped every cancelled key before this pop
-            .expect("skim_stale guarantees a live slot");
-        self.fired += 1;
-        Some(payload)
+        loop {
+            let Reverse(entry) = self.queue.pop()?;
+            // A cancelled event's key is stale: drop it and keep looking.
+            if let Some(payload) = self
+                .slots
+                .remove(SlotKey::from_parts(entry.index, entry.generation))
+            {
+                debug_assert!(entry.time >= self.now);
+                self.now = entry.time;
+                self.fired += 1;
+                return Some(payload);
+            }
+        }
     }
 }
 

@@ -84,6 +84,11 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Exact sum of all samples, in microseconds.
+    pub fn sum_micros(&self) -> u128 {
+        self.sum_micros
+    }
+
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0

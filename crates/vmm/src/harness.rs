@@ -768,6 +768,18 @@ mod tests {
     }
 
     #[test]
+    fn balloon_out_by_i64_min_is_an_error_not_an_overflow() {
+        let mut sim = booted_host(1, ServiceKind::Ssh);
+        let id = sim.host().domu_ids()[0];
+        let mapped = sim.host().domain(id).unwrap().p2m.total_pages();
+        let digest = sim.host().domain_digest(id).unwrap();
+        let err = sim.host_mut().balloon(id, i64::MIN).unwrap_err();
+        assert!(matches!(err, crate::vmm::VmmError::P2m(_)), "{err:?}");
+        assert_eq!(sim.host().domain(id).unwrap().p2m.total_pages(), mapped);
+        assert_eq!(sim.host().domain_digest(id).unwrap(), digest);
+    }
+
+    #[test]
     fn balloon_refuses_a_frozen_image_and_a_reboot_in_flight() {
         use crate::domain::ExecState;
         let mut sim = booted_host(3, ServiceKind::Ssh);

@@ -1395,7 +1395,7 @@ impl Host {
                 .balloon_in(&mut dom, &mut self.contents, delta_pages as u64)
         } else {
             self.vmm
-                .balloon_out(&mut dom, &mut self.contents, (-delta_pages) as u64)
+                .balloon_out(&mut dom, &mut self.contents, delta_pages.unsigned_abs())
         };
         self.domains.insert(id, dom);
         result

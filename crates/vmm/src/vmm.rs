@@ -16,6 +16,13 @@
 //!   preserved; every domain's image, P2M table and execution state are
 //!   lost.
 //!
+//! Ballooning uses the one mechanism in [`rh_memory::balloon`]
+//! ([`balloon::inflate`]/[`balloon::deflate`]); [`Vmm::balloon_out`] and
+//! [`Vmm::balloon_in`] add only what the host needs on top — scrubbing
+//! released frames, fresh contents for new ones, and the xenstored
+//! transaction. The I8 freeze fence stays with the caller
+//! (`Host::balloon`), derived from the domain's `exec_state`.
+//!
 //! Content signatures ([`rh_memory::contents`]) make preservation a
 //! checkable property: [`Vmm::domain_digest`] before suspend must equal the
 //! digest after resume for the warm path, and must be *unobtainable* after
@@ -24,6 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use rh_memory::balloon;
 use rh_memory::contents::FrameContents;
 use rh_memory::frame::{FrameRange, Mfn, Pfn};
 use rh_memory::heap::VmmHeap;
@@ -353,9 +361,9 @@ impl Vmm {
 
     /// Balloons `pages` pages *out* of a domain: the balloon driver hands
     /// its highest pseudo-physical pages back to the VMM (paper §4.1 /
-    /// Waldspurger). The freed frames are scrubbed and returned to the
-    /// allocator; the P2M table shrinks accordingly and stays correct
-    /// across a subsequent quick reload.
+    /// Waldspurger) through [`balloon::inflate`]. The freed frames are
+    /// returned to the allocator and scrubbed; the P2M table shrinks
+    /// accordingly and stays correct across a subsequent quick reload.
     ///
     /// # Errors
     ///
@@ -366,18 +374,17 @@ impl Vmm {
         contents: &mut FrameContents,
         pages: u64,
     ) -> Result<(), VmmError> {
-        let released = dom.p2m.unmap_top(pages)?;
+        let released = balloon::inflate::<VmmError>(&mut dom.p2m, &mut self.ram, pages)?;
         for r in &released {
             contents.scrub(*r);
         }
-        self.ram.release(&released)?;
         self.xenstored.transact();
         Ok(())
     }
 
-    /// Balloons `pages` pages back *in*: fresh frames are allocated,
-    /// mapped at the domain's current PFN limit, and zero-initialized
-    /// (modelled as a fresh content pattern).
+    /// Balloons `pages` pages back *in* through [`balloon::deflate`]:
+    /// fresh frames are allocated, mapped at the domain's current PFN
+    /// limit, and zero-initialized (modelled as a fresh content pattern).
     ///
     /// # Errors
     ///
@@ -388,12 +395,7 @@ impl Vmm {
         contents: &mut FrameContents,
         pages: u64,
     ) -> Result<(), VmmError> {
-        let frames = self.ram.allocate(pages)?;
-        let pfn = Pfn(dom.p2m.pfn_limit());
-        if let Err(e) = dom.p2m.map_contiguous(pfn, &frames) {
-            let _ = self.ram.release(&frames);
-            return Err(e.into());
-        }
+        let frames = balloon::deflate::<VmmError>(&mut dom.p2m, &mut self.ram, pages)?;
         let salt = self.next_salt();
         for (i, r) in frames.iter().enumerate() {
             contents.fill_pattern(*r, salt.wrapping_add(i as u64));
