@@ -278,7 +278,8 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
     // The paper's headline (Fig. 6 at 11 VMs): a warm, a saved and a cold
     // reboot of one booted host with 11 x 1 GiB guests, tracing off. The
-    // host time is almost all digest work in the rh-vmm reboot pipeline.
+    // host time is the rh-vmm reboot pipeline's event handling and image
+    // captures; the preservation checks compare images and fold no digest.
     let mut host = HostSim::new(
         HostConfig::paper_testbed()
             .with_vms(PAPER_VMS, ServiceKind::Ssh)
@@ -319,15 +320,31 @@ pub fn run_suite(samples: u32) -> Vec<CoreBenchResult> {
 
 /// One warm, one saved and one cold reboot of `sim`, in that order;
 /// returns the events fired.
+///
+/// # Panics
+///
+/// Fails the row if a reboot reports a corrupted guest or the round folds
+/// a digest: a clean round must be checked by image comparison alone.
 fn paper_round(sim: &mut HostSim) -> u64 {
     let before = sim.simulation_mut().scheduler().fired();
+    let folded = sim.host().stats.counter("digest.folded");
     for strategy in [
         RebootStrategy::Warm,
         RebootStrategy::Saved,
         RebootStrategy::Cold,
     ] {
-        black_box(sim.reboot_and_wait(strategy));
+        let report = black_box(sim.reboot_and_wait(strategy));
+        assert!(
+            report.corrupted.is_empty(),
+            "host/paper_round: {strategy} reboot corrupted {:?}",
+            report.corrupted
+        );
     }
+    assert_eq!(
+        sim.host().stats.counter("digest.folded"),
+        folded,
+        "host/paper_round: a clean round folded a digest"
+    );
     sim.simulation_mut().scheduler().fired() - before
 }
 

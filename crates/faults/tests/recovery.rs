@@ -148,8 +148,8 @@ fn corrupted_domain_is_cold_booted_never_resumed() {
 #[test]
 fn corruption_defeats_the_digest_early_out() {
     // Flipping a frozen frame between suspend and resume must force the
-    // full rehash (the write changes the victim's captured image, so the
-    // digest memo cannot answer for it) and the corruption must still be
+    // full rehash (the write changes the victim's captured image, so it
+    // no longer equals the frozen one) and the corruption must still be
     // detected. Without recovery the domain is flagged in the report
     // rather than cold-booted.
     let plan = FaultPlan::new(23).arm(

@@ -28,6 +28,8 @@ pub enum P2mError {
     PfnOverlap(Pfn, u64),
     /// The requested unmap range is not fully mapped.
     NotMapped(Pfn, u64),
+    /// The PFN range `[start, start+count)` runs past the last PFN.
+    PfnRangeOverflow(Pfn, u64),
 }
 
 impl fmt::Display for P2mError {
@@ -37,11 +39,22 @@ impl fmt::Display for P2mError {
                 write!(f, "pfn range [{p}, +{c}) overlaps existing mapping")
             }
             P2mError::NotMapped(p, c) => write!(f, "pfn range [{p}, +{c}) is not fully mapped"),
+            P2mError::PfnRangeOverflow(p, c) => {
+                write!(f, "pfn range [{p}, +{c}) runs past the last pfn")
+            }
         }
     }
 }
 
 impl std::error::Error for P2mError {}
+
+/// One past the last PFN of `[start, start + count)`.
+fn range_end(start: Pfn, count: u64) -> Result<u64, P2mError> {
+    start
+        .0
+        .checked_add(count)
+        .ok_or(P2mError::PfnRangeOverflow(start, count))
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Extent {
@@ -136,7 +149,9 @@ impl P2mTable {
     ///
     /// # Errors
     ///
-    /// [`P2mError::PfnOverlap`] if any PFN in the target range is mapped.
+    /// [`P2mError::PfnOverlap`] if any PFN in the target range is mapped;
+    /// [`P2mError::PfnRangeOverflow`] if the range runs past the last PFN.
+    /// The table is unchanged on error.
     pub fn map(&mut self, pfn_start: Pfn, frames: FrameRange) -> Result<(), P2mError> {
         if frames.count == 0 {
             // A zero-count extent must never enter the map: it would shadow
@@ -145,7 +160,7 @@ impl P2mTable {
             return Ok(());
         }
         let lo = pfn_start.0;
-        let hi = lo + frames.count;
+        let hi = range_end(pfn_start, frames.count)?;
         let overlapping = self
             .extents
             .range(..hi)
@@ -171,13 +186,22 @@ impl P2mTable {
     ///
     /// # Errors
     ///
-    /// Propagates [`P2mError::PfnOverlap`]; mappings made before the error
-    /// remain (callers treat this as fatal).
+    /// [`P2mError::PfnRangeOverflow`], with the table unchanged, if the
+    /// ranges together run past the last PFN. Propagates
+    /// [`P2mError::PfnOverlap`]; mappings made before that error remain
+    /// (callers treat this as fatal).
     pub fn map_contiguous(
         &mut self,
         pfn_start: Pfn,
         ranges: &[FrameRange],
     ) -> Result<(), P2mError> {
+        let end = ranges
+            .iter()
+            .try_fold(pfn_start.0, |end, r| end.checked_add(r.count));
+        if end.is_none() {
+            let count = ranges.iter().map(|r| r.count).fold(0, u64::saturating_add);
+            return Err(P2mError::PfnRangeOverflow(pfn_start, count));
+        }
         let mut pfn = pfn_start.0;
         for r in ranges {
             self.map(Pfn(pfn), *r)?;
@@ -201,11 +225,12 @@ impl P2mTable {
     ///
     /// # Errors
     ///
-    /// [`P2mError::NotMapped`] if the range is not fully mapped; the table
-    /// is unchanged on error.
+    /// [`P2mError::NotMapped`] if the range is not fully mapped;
+    /// [`P2mError::PfnRangeOverflow`] if it runs past the last PFN. The
+    /// table is unchanged on error.
     pub fn unmap(&mut self, pfn_start: Pfn, count: u64) -> Result<Vec<FrameRange>, P2mError> {
         let lo = pfn_start.0;
-        let hi = lo + count;
+        let hi = range_end(pfn_start, count)?;
         // Verify full coverage first (atomicity).
         let mut covered = lo;
         while covered < hi {
@@ -300,10 +325,10 @@ impl P2mTable {
 
     /// Resolves the pseudo-physical range `[pfn_start, pfn_start + count)`
     /// into its backing machine ranges, in ascending PFN order, or `None`
-    /// if the range is not fully mapped.
+    /// if the range is not fully mapped or runs past the last PFN.
     pub fn resolve_range(&self, pfn_start: Pfn, count: u64) -> Option<Vec<FrameRange>> {
         let lo = pfn_start.0;
-        let hi = lo + count;
+        let hi = range_end(pfn_start, count).ok()?;
         let mut out = Vec::new();
         let mut cursor = lo;
         while cursor < hi {
@@ -598,5 +623,30 @@ mod tests {
         assert_eq!(t.lookup(Pfn(5)), Some(Mfn(3002)));
         assert_eq!(t.total_pages(), 4);
         t.check_machine_disjoint().unwrap();
+    }
+
+    #[test]
+    fn ranges_past_the_last_pfn_are_errors_not_overflows() {
+        let last = Pfn(u64::MAX - 1);
+        let mut t = P2mTable::new();
+        t.map(Pfn(0), fr(1000, 4)).unwrap();
+        let before = t.clone();
+        let epoch = t.epoch();
+        assert_eq!(
+            t.map(last, fr(2000, 4)),
+            Err(P2mError::PfnRangeOverflow(last, 4))
+        );
+        // The first range alone would fit; the table stays unchanged.
+        assert_eq!(
+            t.map_contiguous(last, &[fr(2000, 1), fr(3000, 3)]),
+            Err(P2mError::PfnRangeOverflow(last, 4))
+        );
+        assert_eq!(t.unmap(last, 4), Err(P2mError::PfnRangeOverflow(last, 4)));
+        assert_eq!(t.resolve_range(last, 4), None);
+        assert_eq!(t, before);
+        assert_eq!(t.epoch(), epoch);
+        assert!(P2mError::PfnRangeOverflow(last, 4)
+            .to_string()
+            .contains("runs past the last pfn"));
     }
 }

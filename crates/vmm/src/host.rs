@@ -143,7 +143,11 @@ struct RebootRun {
     pending_stops: BTreeSet<DomainId>,
     setup_queue: VecDeque<DomainId>,
     pending_setup: BTreeSet<DomainId>,
-    digests: BTreeMap<DomainId, u64>,
+    /// Each frozen domain's memory image, captured at freeze and checked
+    /// against the image it resumes with (DESIGN.md §13).
+    frozen: BTreeMap<DomainId, MemoryImage>,
+    /// Domains whose resumed memory failed that check.
+    corrupted: BTreeSet<DomainId>,
     /// Domains that lost their frozen image and were (or will be) rebuilt
     /// from scratch during this run.
     cold_fallbacks: BTreeSet<DomainId>,
@@ -162,7 +166,8 @@ impl RebootRun {
             pending_stops: BTreeSet::new(),
             setup_queue: VecDeque::new(),
             pending_setup: BTreeSet::new(),
-            digests: BTreeMap::new(),
+            frozen: BTreeMap::new(),
+            corrupted: BTreeSet::new(),
             cold_fallbacks: BTreeSet::new(),
             retries: BTreeMap::new(),
         }
@@ -283,9 +288,6 @@ pub struct Host {
     delta_chains: BTreeMap<DomainId, DeltaChain>,
     /// Delta snapshots whose disk write has not completed yet.
     pending_snapshots: BTreeMap<DomainId, PendingSnapshot>,
-    /// Each domain's last folded digest, keyed on the exact canonical
-    /// image it was folded from (see [`memo_digest`](Self::memo_digest)).
-    digest_memo: BTreeMap<DomainId, (MemoryImage, u64)>,
     meters: BTreeMap<DomainId, DowntimeMeter>,
     probes: BTreeMap<DomainId, ProbeLog>,
     httperf: Option<(DomainId, HttperfClient)>,
@@ -384,7 +386,6 @@ impl Host {
             streaming: BTreeSet::new(),
             delta_chains: BTreeMap::new(),
             pending_snapshots: BTreeMap::new(),
-            digest_memo: BTreeMap::new(),
             meters,
             probes,
             httperf: None,
@@ -705,23 +706,20 @@ impl Host {
             .map(|d| self.vmm.domain_digest(d, &self.contents))
     }
 
-    /// The digest of `dom`'s memory, for the reboot path's freeze and
-    /// resume checks. Captures the canonical image in O(extents + runs +
-    /// writes) and folds it in O(frames) only when it differs from the
-    /// image the domain's memo entry was folded from (DESIGN.md §13).
-    /// Returns the image, its digest, and whether this call folded.
-    fn memo_digest(&mut self, dom: &Domain) -> (MemoryImage, u64, bool) {
+    /// The reboot path's preservation check: whether `dom`'s memory no
+    /// longer holds the pages of the image `frozen` at suspend. Captures
+    /// the current image in O(extents + runs + writes); equal images hold
+    /// equal pages, so only a differing image pays the two O(frames)
+    /// folds, and only differing digests flag it (DESIGN.md §13).
+    fn corrupted_since_freeze(&mut self, dom: &Domain, frozen: &MemoryImage) -> bool {
         let image = MemoryImage::capture(&dom.p2m, &self.contents);
-        if let Some((memo, digest)) = self.digest_memo.get(&dom.id) {
-            if *memo == image {
-                debug_assert_eq!(image.digest(), *digest, "stale digest memo");
-                return (image, *digest, false);
-            }
+        if image == *frozen {
+            self.stats.inc("digest.early_out");
+            return false;
         }
-        let digest = image.digest();
-        self.stats.inc("digest.folded");
-        self.digest_memo.insert(dom.id, (image.clone(), digest));
-        (image, digest, true)
+        self.stats.inc("digest.full_rehash");
+        self.stats.add("digest.folded", 2);
+        image.digest() != frozen.digest()
     }
 
     /// Histogram of completed web-request latencies.
@@ -1204,8 +1202,8 @@ impl Host {
                 }
             };
             if frozen {
-                let (_, digest, _) = self.memo_digest(&dom);
-                run.digests.insert(id, digest);
+                run.frozen
+                    .insert(id, MemoryImage::capture(&dom.p2m, &self.contents));
                 self.stats.inc("recovery.salvaged");
                 self.trace.emit(now, Event::Salvaged(id.into()));
             } else {
@@ -1826,10 +1824,10 @@ impl Host {
         // on_memory_suspend just succeeded, so the kernel is Suspending and
         // this transition cannot fail.
         let _ = dom.kernel.finish_suspend();
-        let (image, digest, _) = self.memo_digest(&dom);
+        let image = MemoryImage::capture(&dom.p2m, &self.contents);
         self.trace.emit(sched.now(), Event::Frozen(id.into()));
         if let Some(run) = self.run.as_mut() {
-            run.digests.insert(id, digest);
+            run.frozen.insert(id, image.clone());
         }
         match strategy {
             Some(RebootStrategy::Warm) => {
@@ -2428,19 +2426,12 @@ impl Host {
                 dom.kernel.crash();
             }
         }
-        // Verify preservation: the digest after resume must equal the
-        // digest frozen at suspend. The memo answers without a fold when
-        // the captured image is exactly the one frozen; any difference (a
-        // restore bug, a stray write) forces the fold that reports it.
-        let expected = self.run.as_ref().and_then(|r| r.digests.get(&id)).copied();
-        let (_, actual, folded) = self.memo_digest(&dom);
-        self.stats.inc(if folded {
-            "digest.full_rehash"
-        } else {
-            "digest.early_out"
-        });
+        // Verify preservation: the memory after resume must hold the
+        // pages frozen at suspend (a restore bug or a stray write breaks
+        // it).
+        let frozen = self.run.as_mut().and_then(|r| r.frozen.remove(&id));
+        let corrupted = frozen.is_some_and(|image| self.corrupted_since_freeze(&dom, &image));
         self.domains.insert(id, dom);
-        let corrupted = expected.is_some_and(|e| e != actual);
         let recovery = self.run.as_ref().map(|r| r.recovery).unwrap_or(false);
         if recovery && (failed || corrupted) {
             // Recovery invariant: a domain is never handed back corrupted.
@@ -2462,7 +2453,6 @@ impl Host {
                 self.domains.insert(id, dom);
             }
             if let Some(run) = self.run.as_mut() {
-                run.digests.remove(&id);
                 run.cold_fallbacks.insert(id);
                 // pending_setup keeps the id: the cold boot completes it.
             }
@@ -2475,9 +2465,7 @@ impl Host {
         }
         if let Some(run) = self.run.as_mut() {
             if corrupted {
-                run.digests.insert(id, u64::MAX); // flag for the report
-            } else {
-                run.digests.remove(&id);
+                run.corrupted.insert(id);
             }
             run.pending_setup.remove(&id);
         }
@@ -2538,12 +2526,6 @@ impl Host {
                 downtime.insert(*id, outage.duration());
             }
         }
-        let corrupted: Vec<DomainId> = run
-            .digests
-            .iter()
-            .filter(|(_, &d)| d == u64::MAX)
-            .map(|(&id, _)| id)
-            .collect();
         self.trace
             .emit(sched.now(), Event::RebootComplete(run.strategy.into()));
         self.stats
@@ -2557,7 +2539,7 @@ impl Host {
             commanded_at: run.commanded_at,
             completed_at: sched.now(),
             downtime,
-            corrupted,
+            corrupted: run.corrupted.into_iter().collect(),
             cold_booted: run.cold_fallbacks.iter().copied().collect(),
         });
     }
